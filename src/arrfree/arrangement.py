@@ -207,7 +207,11 @@ class Hyperplane:
 
     @classmethod
     def parse(cls, text: str, order: int, dim: int) -> "Hyperplane":
-        return cls(parse_linear(text, order, dim), order)
+        coeffs = parse_linear(text, order, dim)
+        if not any(coeffs):
+            raise FormatError(
+                f"the zero form {text!r} does not define a hyperplane")
+        return cls(coeffs, order)
 
     @property
     def dim(self) -> int:
@@ -524,7 +528,11 @@ class Arrangement:
             if len(entries) != dim:
                 raise FormatError(
                     f"expected {dim} covector entries, got {len(entries)}: {raw.strip()!r}")
-            covs.append([parse_scalar(e, order) for e in entries])
+            cov = [parse_scalar(e, order) for e in entries]
+            if not any(cov):
+                raise FormatError(
+                    f"the zero covector does not define a hyperplane: {raw.strip()!r}")
+            covs.append(cov)
         if header is None:
             raise FormatError("missing 'arr v1' header")
         return cls(dim, covs, order)
@@ -622,8 +630,7 @@ def _build_levels(arr: Arrangement, max_rank=None):
 class Lattice:
     """Intersection lattice of a central arrangement; flats are bitmasks."""
 
-    __slots__ = ("arrangement", "levels", "_bases", "_mobius", "_charpoly",
-                 "_rank_of")
+    __slots__ = ("arrangement", "levels", "_bases", "_mobius", "_charpoly")
 
     def __init__(self, arrangement: Arrangement):
         levels, bases = _build_levels(arrangement)
@@ -632,7 +639,6 @@ class Lattice:
         self._bases = bases
         self._mobius = None
         self._charpoly = None
-        self._rank_of = None
 
     @property
     def rank(self) -> int:
@@ -642,17 +648,6 @@ class Lattice:
         if 0 <= rank < len(self.levels):
             return self.levels[rank]
         return ()
-
-    def all_flats(self):
-        for k, lv in enumerate(self.levels):
-            for mask in lv:
-                yield k, mask
-
-    def flat_rank(self, mask: int) -> int:
-        if self._rank_of is None:
-            self._rank_of = {m: k for k, lv in enumerate(self.levels)
-                             for m in lv}
-        return self._rank_of[mask]
 
     def flat(self, mask: int) -> Flat:
         rows, pivots = self._bases[mask]
@@ -737,12 +732,10 @@ def _wl_colors(m: int, levels):
 
 
 def _bits(mask: int):
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _line_size_matrix(m: int, line_masks):

@@ -24,6 +24,7 @@ from arrfree.arrangement import (
     Flat,
     Hyperplane,
     RankLimit,
+    _bits,
     _rref,
 )
 from arrfree.cyclotomic import (
@@ -322,21 +323,12 @@ def normalize_type(tag: str) -> str:
 
 
 def _localization_roots(arr: Arrangement, mask: int) -> tuple[int, ...] | None:
-    keep = [arr.hyperplanes[i] for i in _mask_bits(mask)]
+    keep = [arr.hyperplanes[i] for i in _bits(mask)]
     loc = Arrangement(arr.dim, keep, arr.order)
     exps = loc.candidate_exponents()
     if exps is None:
         return None
     return tuple(e for e in exps if e)
-
-
-def _mask_bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def _flats_of_codim(arr: Arrangement, codim: int):
@@ -408,7 +400,7 @@ def _identify_type(arr: Arrangement, mask: int, codim: int,
 
 def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
-    for i in _mask_bits(mask):
+    for i in _bits(mask):
         out |= 1 << perm[i]
     return out
 

@@ -7,8 +7,7 @@ success or an affirmative verdict, 1 for a negative mathematical verdict,
 2 for invalid parameters, and 3 for I/O or parse failures.
 
 Every report has a --json twin that mirrors the human-readable text;
-timing goes to stderr only, so JSON payloads are byte-stable across runs
-and thread counts.
+timing goes to stderr only, so JSON payloads are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -199,8 +198,7 @@ def cmd_verify_table(args) -> int:
 def cmd_count_nec(args) -> int:
     text = _read_text(args.file)
     arr = Arrangement.from_text(text)
-    rep = necessary_condition_counts(arr, exponents=args.exponents,
-                                     threads=args.threads)
+    rep = necessary_condition_counts(arr, exponents=args.exponents)
     payload = {"command": "count-nec", "file": args.file,
                "sha256": _digest(text)}
     payload.update(rep.payload())
@@ -320,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--exponents", type=_exponent_list, metavar="B1,B2,...",
                    help="starting exponents (default: computed from the"
                         " characteristic polynomial)")
-    c.add_argument("--threads", type=int)
+    c.add_argument("--threads", type=int,
+                   help="accepted for compatibility; the census is"
+                        " sequential and this has no effect")
     c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_count_nec)
 

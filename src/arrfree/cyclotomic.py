@@ -268,10 +268,6 @@ class Cyc:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def to_fractions(self) -> tuple[Fraction, ...]:
-        """Power-basis coordinates as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def inverse(self) -> "Cyc":
         if not any(self.num):
             raise DivisionByZero("scalar is zero")

@@ -16,7 +16,6 @@ report how many subarrangements the exhaustive search visited.
 
 import re as _re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .arrangement import Arrangement, Hyperplane, RankLimit, _bits
@@ -509,36 +508,19 @@ class NecCondReport:
         }
 
 
-def _scan_chunk(items, full, lines, m):
-    out: dict = {}
-    for bmask, msets in items:
-        remaining = full & ~bmask
-        if not remaining:
-            continue
-        counts = [0] * m
-        for line in lines:
-            inter = line & remaining
-            if inter.bit_count() >= 2:
-                for i in _bits(inter):
-                    counts[i] += 1
-        for i in _bits(remaining):
-            rc = counts[i]
-            key = bmask | (1 << i)
-            for ms in msets:
-                v = sum(ms) - rc
-                if v < 1 or v not in ms:
-                    continue
-                pos = ms.index(v)
-                new = tuple(sorted(ms[:pos] + ms[pos + 1:] + (v - 1,)))
-                out.setdefault(key, set()).add(new)
+def _removal_moves(ms):
+    """{restriction count: next multiset} for every removal ms allows.
+
+    Removing a hyperplane whose restriction count is rc is allowed when
+    v = sum(ms) - rc is a positive entry of ms; that entry drops by one.
+    """
+    total = sum(ms)
+    out = {}
+    for v in set(ms):
+        if v >= 1:
+            pos = ms.index(v)
+            out[total - v] = tuple(sorted(ms[:pos] + ms[pos + 1:] + (v - 1,)))
     return out
-
-
-def _chunked(items, threads):
-    if not threads or threads <= 1 or len(items) <= 1:
-        return [items]
-    k = min(threads, len(items))
-    return [items[j::k] for j in range(k)]
 
 
 def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
@@ -550,6 +532,9 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
     current exponents; the left-out entry then drops by one.  A final
     count of zero means every removal order eventually violates the
     condition.
+
+    The scan is sequential; threads is accepted for compatibility and
+    has no effect.
     """
     if exponents is None:
         exponents = arr.candidate_exponents()
@@ -564,26 +549,49 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
             f"exponents {exps} are not a nonnegative splitting of the"
             f" cardinality {len(arr)}")
     m = len(arr)
-    lines = arr.line_masks()
-    full = (1 << m) - 1
-    states = {0: {exps}}
+    through = [[] for _ in range(m)]
+    for line in arr.line_masks():
+        for i in _bits(line):
+            through[i].append(line)
+    moves: dict = {}
+    # a state is keyed by the mask of its remaining hyperplanes and holds
+    # the multisets that reach it and the restriction count of every
+    # hyperplane, -1 for a removed one (no removal rule asks for -1)
+    states = {(1 << m) - 1: ([len(t) for t in through], {exps})}
     levels = []
     n = 0
     while states:
         n += 1
-        items = sorted((b, tuple(sorted(ms))) for b, ms in states.items())
-        chunks = _chunked(items, threads)
-        if len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(
-                    lambda ch: _scan_chunk(ch, full, lines, m), chunks))
-        else:
-            parts = [_scan_chunk(items, full, lines, m)]
         nxt: dict = {}
-        for part in parts:
-            for key, vals in part.items():
-                nxt.setdefault(key, set()).update(vals)
-        union = sorted({ms for vals in nxt.values() for ms in vals})
+        for remaining, (counts, msets) in states.items():
+            by_rc: dict = {}
+            for ms in msets:
+                table = moves.get(ms)
+                if table is None:
+                    table = moves[ms] = _removal_moves(ms)
+                for rc, new in table.items():
+                    by_rc.setdefault(rc, []).append(new)
+            # most hyperplanes fail the test, so look up the ones that
+            # pass by their count instead of walking every remaining one
+            for rc, news in by_rc.items():
+                i = -1
+                for _ in range(counts.count(rc)):
+                    i = counts.index(rc, i + 1)
+                    left = remaining ^ (1 << i)
+                    hit = nxt.get(left)
+                    if hit is not None:
+                        hit[1].update(news)
+                        continue
+                    # only lines through i change: one whose last two
+                    # remaining members were i and j stops counting for j
+                    child = counts.copy()
+                    child[i] = -1
+                    for line in through[i]:
+                        r = line & left
+                        if r and not r & (r - 1):
+                            child[r.bit_length() - 1] -= 1
+                    nxt[left] = (child, set(news))
+        union = sorted({ms for _, msets in nxt.values() for ms in msets})
         levels.append(NecLevel(n, len(nxt), tuple(union)))
         states = nxt
     return NecCondReport(exps, levels)

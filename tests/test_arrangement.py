@@ -16,11 +16,13 @@ from arrfree.arrangement import (
     NotAFlat,
     NotMember,
     ZeroDimensional,
+    _P,
     _in_span,
+    _mod_root,
     _rref,
     lattice_isomorphic,
 )
-from arrfree.cyclotomic import Cyc, root_of_unity
+from arrfree.cyclotomic import Cyc, cyclotomic_polynomial, root_of_unity
 
 
 def boolean_arrangement(dim: int) -> Arrangement:
@@ -291,10 +293,44 @@ def test_arr_text_rejects_malformed():
         "arr v1 dim=2 zeta=3\n1, 0, 0\n",
         "arr v1 dim=2 zeta=3\n1\n",
         "1, 0\narr v1 dim=2 zeta=1\n",
+        "arr v1 dim=3 zeta=1\n0, 0, 0\n",
     ]
     for text in bad:
         with pytest.raises(FormatError):
             Arrangement.from_text(text)
+
+
+def _miller_rabin(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_filter_is_sound():
+    # the filter's rejections are sound only if F_P is a field holding a
+    # root of every cyclotomic polynomial it is used for; Miller-Rabin
+    # with the prime bases up to 41 is deterministic below 3.3e24
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert _P < 3 * 10 ** 24 and _miller_rabin(_P, bases)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7 is still caught
+    assert not _miller_rabin(3215031751, bases)
+    for n in range(1, 41):
+        root = _mod_root(n)
+        value = 0
+        for c in reversed(cyclotomic_polynomial(n)):
+            value = (value * root + c) % _P
+        assert value == 0, n
 
 
 # -- lattice isomorphism -------------------------------------------------------

@@ -161,6 +161,18 @@ def test_count_nec(capsys, tmp_path):
     assert j1[0] == j2[0] == 0 and j1[1] == j2[1]
 
 
+def test_zero_covector_is_a_parse_error(capsys, tmp_path):
+    arr = tmp_path / "zero.arr"
+    arr.write_text("arr v1 dim=3 zeta=1\n1, 0, 0\n0, 0, 0\n")
+    for cmd in ("induce", "count-nec", "exponents"):
+        code, out, err = run(capsys, cmd, str(arr), "--json")
+        assert code == 3 and out == "" and "zero covector" in err, cmd
+    tbl = tmp_path / "zero.tbl"
+    tbl.write_text("table v1 dim=3 zeta=1\n0,0,0 | 0 | 0,0\n1,0,0 | |\n")
+    code, out, err = run(capsys, "verify-table", str(tbl), "--json")
+    assert code == 3 and out == "" and "zero form" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--r", "2", "--max-ell", "3")
     assert code == 0

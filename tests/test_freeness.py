@@ -5,10 +5,17 @@ from collections import Counter
 import pytest
 
 from arrfree.arrangement import Arrangement, Hyperplane, RankLimit
-from arrfree.catalog import canonical_induction_order, intermediate
+from arrfree.catalog import (
+    canonical_induction_order,
+    group,
+    intermediate,
+    restriction_by_type,
+)
 from arrfree.cyclotomic import FormatError
 from arrfree.freeness import (
     InductionTable,
+    NecCondReport,
+    NecLevel,
     NonFreeInput,
     RecursionWitness,
     ShapeError,
@@ -209,6 +216,95 @@ def test_scan_is_thread_deterministic():
         report = necessary_condition_counts(arr, threads=threads)
         payloads.add(json.dumps(report.payload(), sort_keys=True))
     assert len(payloads) == 1
+
+
+def _reference_census(arr, exponents):
+    """The removal census as a full scan: every line is intersected with
+    every state's remaining set.  Returns the report and the largest
+    number of multisets any one state held."""
+    exps = tuple(sorted(exponents))
+    m = len(arr)
+    lines = arr.line_masks()
+    full = (1 << m) - 1
+    states = {0: {exps}}
+    levels = []
+    widest = 1
+    n = 0
+    while states:
+        n += 1
+        nxt = {}
+        for bmask, msets in sorted(states.items()):
+            remaining = full & ~bmask
+            counts = [0] * m
+            for line in lines:
+                inter = line & remaining
+                if inter.bit_count() >= 2:
+                    for i in range(m):
+                        if inter >> i & 1:
+                            counts[i] += 1
+            for i in range(m):
+                if not remaining >> i & 1:
+                    continue
+                for ms in msets:
+                    v = sum(ms) - counts[i]
+                    if v < 1 or v not in ms:
+                        continue
+                    pos = ms.index(v)
+                    new = tuple(sorted(ms[:pos] + ms[pos + 1:] + (v - 1,)))
+                    nxt.setdefault(bmask | 1 << i, set()).add(new)
+        widest = max([widest] + [len(v) for v in nxt.values()])
+        union = sorted({ms for vals in nxt.values() for ms in vals})
+        levels.append(NecLevel(n, len(nxt), tuple(union)))
+        states = nxt
+    return NecCondReport(exps, levels), widest
+
+
+def _random_arrangement(rng, dim, size):
+    covs = set()
+    while len(covs) < size:
+        v = tuple(rng.randint(-1, 1) for _ in range(dim))
+        if any(v):
+            covs.add(v)
+    return Arrangement(dim, [list(v) for v in covs])
+
+
+def _random_splitting(rng, total, parts):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_census_matches_reference_scan():
+    cases = [(boolean(4), None), (intermediate(2, 4, 1), None)]
+    cases += [(intermediate(3, 3, k), None) for k in range(4)]
+    cases.append((restriction_by_type(group("G33"), "A1"), (1, 7, 9, 11)))
+    # wrong exponents (the true ones are 1,3,4,5 and 1,3,5,5): states
+    # there hold two multisets whose descendants differ
+    cases.append((intermediate(2, 4, 1), (1, 2, 4, 6)))
+    cases.append((intermediate(2, 4, 2), (0, 3, 5, 6)))
+    rng = random.Random(20131007)
+    for trial in range(30):
+        dim = 3 + trial % 2
+        arr = _random_arrangement(rng, dim, rng.randint(dim + 2, 9))
+        exps = arr.candidate_exponents()
+        if exps is None or trial % 3 == 0:
+            # a splitting of |A| that need not be the true exponents
+            exps = _random_splitting(rng, len(arr), dim)
+        cases.append((arr, exps))
+    widest = 1
+    survivors = 0
+    for arr, exps in cases:
+        if exps is None:
+            exps = arr.candidate_exponents()
+        got = necessary_condition_counts(arr, exponents=exps)
+        want, w = _reference_census(arr, exps)
+        assert got.payload() == want.payload(), (arr, exps)
+        widest = max(widest, w)
+        alive = [lv.n for lv in got.levels if lv.count]
+        survivors += bool(alive) and alive[-1] == len(arr)
+    # the inputs exercise states holding several multisets at once, and
+    # censuses that reach the empty arrangement without dying
+    assert widest >= 2
+    assert survivors >= 1
 
 
 def test_scan_needs_exponents():
