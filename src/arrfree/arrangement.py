@@ -299,7 +299,7 @@ class Arrangement:
     """A finite set of linear hyperplanes in a fixed dimension over Q(zeta_n)."""
 
     __slots__ = ("dim", "order", "hyperplanes", "_index", "_lattice",
-                 "_lines", "_rank", "_hash", "_partial")
+                 "_rank", "_hash", "_partial")
 
     def __init__(self, dim: int, hyperplanes=(), order: int = 1):
         if dim < 1:
@@ -322,7 +322,6 @@ class Arrangement:
         self.dim = dim
         self.order = order
         self._lattice = None
-        self._lines = None
         self._rank = None
         self._hash = None
         self._partial = {}
@@ -458,10 +457,8 @@ class Arrangement:
 
     def line_masks(self) -> tuple[int, ...]:
         """Bitmasks of the rank-2 flats, without building the full lattice."""
-        if self._lines is None:
-            levels, _ = self.partial_levels(2)
-            self._lines = tuple(levels[2]) if len(levels) > 2 else ()
-        return self._lines
+        levels, _ = self.partial_levels(2)
+        return levels[2] if len(levels) > 2 else ()
 
     def partial_levels(self, max_rank: int):
         """Flat masks by rank up to max_rank, with their annihilator bases.
@@ -630,56 +627,70 @@ def _build_levels(arr: Arrangement, max_rank=None):
 class Lattice:
     """Intersection lattice of a central arrangement; flats are bitmasks."""
 
-    __slots__ = ("arrangement", "levels", "_bases", "_mobius", "_charpoly")
+    __slots__ = ("arrangement", "levels", "_bases")
 
     def __init__(self, arrangement: Arrangement):
         levels, bases = _build_levels(arrangement)
         self.arrangement = arrangement
         self.levels = tuple(tuple(lv) for lv in levels)
         self._bases = bases
-        self._mobius = None
-        self._charpoly = None
 
     @property
     def rank(self) -> int:
         return len(self.levels) - 1
 
-    def flats(self, rank: int) -> tuple[int, ...]:
-        if 0 <= rank < len(self.levels):
-            return self.levels[rank]
-        return ()
-
-    def flat(self, mask: int) -> Flat:
-        rows, pivots = self._bases[mask]
-        return Flat(rows, pivots, self.arrangement.dim, self.arrangement.order)
-
-    def mobius(self) -> dict[int, int]:
-        if self._mobius is None:
-            mob = {0: 1}
-            lower = [(0, 1)]
-            for level in self.levels[1:]:
-                new = []
-                for mask in level:
-                    s = 0
-                    for m2, mu in lower:
-                        if m2 & mask == m2:
-                            s += mu
-                    mob[mask] = -s
-                    new.append((mask, -s))
-                lower.extend(new)
-            self._mobius = mob
-        return self._mobius
-
     def characteristic_polynomial(self) -> tuple[int, ...]:
-        if self._charpoly is None:
-            dim = self.arrangement.dim
-            coeffs = [0] * (dim + 1)
-            mob = self.mobius()
-            for k, level in enumerate(self.levels):
-                for mask in level:
-                    coeffs[dim - k] += mob[mask]
-            self._charpoly = tuple(coeffs)
-        return self._charpoly
+        return _charpoly(self.levels, self.arrangement.dim)
+
+
+# -- subarrangements and restrictions on flat masks (levels[k]: rank k) -----
+
+def _charpoly(levels, dim: int) -> tuple[int, ...]:
+    """Characteristic polynomial, constant first, by the Moebius sum over
+    the flats; dim is the dimension of the ambient space."""
+    coeffs = [0] * (dim + 1)
+    lower: list = []
+    for k, level in enumerate(levels):
+        new = []
+        for mask in level:
+            mu = -sum(mu2 for m2, mu2 in lower if m2 & mask == m2) if k else 1
+            new.append((mask, mu))
+            coeffs[dim - k] += mu
+        lower.extend(new)
+    return tuple(coeffs)
+
+
+def _sub_levels(levels, mask: int) -> list:
+    """Flats of the subarrangement mask by rank, as masks of the whole:
+    X & mask for every flat X, ranked by the first X (its closure)."""
+    seen: set = set()
+    out = []
+    for level in levels:
+        new = {x & mask for x in level} - seen
+        if not new:
+            break
+        seen |= new
+        out.append(new)
+    return out
+
+
+def _sub_exponents(levels, mask: int, dim: int):
+    """Roots of the characteristic polynomial of the subarrangement mask
+    when it splits over the nonnegative integers, else None."""
+    poly = _charpoly(_sub_levels(levels, mask), dim)
+    return _integer_roots(poly, mask.bit_count())
+
+
+def _contract(levels, x: int, k: int) -> list:
+    """Flats of the restriction to the rank-k flat x by rank: the flats
+    above x, as sets of hyperplanes j, the j-th rank-(k+1) flat above x."""
+    above = levels[k + 1] if len(levels) > k + 1 else ()
+    atoms = [y for y in above if y & x == x]
+    out = []
+    for level in levels[k:]:
+        out.append([sum(1 << j for j, y in enumerate(atoms) if y & z == y)
+                    for z in level if z & x == x])
+    return out
 
 
 def _divide_out(poly, r):

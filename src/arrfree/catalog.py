@@ -9,8 +9,8 @@ are closed under the generator action, and the closure is gated by the
 expected mirror count, so wrong generator data cannot pass silently.
 
 Restrictions of a reflection arrangement are addressed by a type tag
-describing the localization at a flat: its rank, its size and, where
-rank and size collide, the roots of its characteristic polynomial.
+naming the localization at a flat by the nonzero roots of its
+characteristic polynomial, which also fix its rank and its size.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from arrfree.arrangement import (
     RankLimit,
     _bits,
     _rref,
+    _sub_exponents,
 )
 from arrfree.cyclotomic import (
     Cyc,
@@ -292,17 +293,17 @@ def _generator_permutations(g: GroupPresentation,
 
 # -- restrictions addressed by localization type ---------------------------------
 
-# tag -> (codim of the flat, hyperplanes through it, nonzero roots of the
-# localization's characteristic polynomial where rank and size collide)
-_TYPE_TABLE: dict[str, tuple[int, int, tuple[int, ...] | None]] = {
-    "A1": (1, 1, None),
-    "A1^2": (2, 2, None),
-    "A2": (2, 3, None),
-    "A1^3": (3, 3, None),
-    "A1A2": (3, 4, None),
-    "A3": (3, 6, None),
-    "G(3,3,3)": (3, 9, (1, 4, 4)),
-    "B3": (3, 9, (1, 3, 5)),
+# tag -> nonzero roots of the localization's characteristic polynomial;
+# their number is the flat's codimension, their sum its hyperplane count
+_TYPE_TABLE: dict[str, tuple[int, ...]] = {
+    "A1": (1,),
+    "A1^2": (1, 1),
+    "A2": (1, 2),
+    "A1^3": (1, 1, 1),
+    "A1A2": (1, 1, 2),
+    "A3": (1, 2, 3),
+    "G(3,3,3)": (1, 4, 4),
+    "B3": (1, 3, 5),
 }
 
 _TYPE_ALIASES = {
@@ -322,45 +323,27 @@ def normalize_type(tag: str) -> str:
     return t
 
 
-def _localization_roots(arr: Arrangement, mask: int) -> tuple[int, ...] | None:
-    keep = [arr.hyperplanes[i] for i in _bits(mask)]
-    loc = Arrangement(arr.dim, keep, arr.order)
-    exps = loc.candidate_exponents()
-    if exps is None:
-        return None
-    return tuple(e for e in exps if e)
-
-
-def _flats_of_codim(arr: Arrangement, codim: int):
-    levels, bases = arr.partial_levels(codim)
-    masks = levels[codim] if len(levels) > codim else ()
-    return masks, bases
+def _localization_roots(levels, mask: int, dim: int):
+    """Nonzero roots of the localization at the flat mask, or None."""
+    exps = _sub_exponents(levels, mask, dim)
+    return None if exps is None else tuple(e for e in exps if e)
 
 
 def restriction_by_type(g, tag: str) -> Arrangement:
     """Restrict the reflection arrangement at the canonically smallest flat
     whose localization matches the tag."""
     t = normalize_type(tag)
-    codim, count, roots = _TYPE_TABLE[t]
-    clashes = [u for u, (c, n, _) in _TYPE_TABLE.items()
-               if u != t and (c, n) == (codim, count)]
-    if clashes and roots is None:
-        raise AmbiguousType(
-            f"type {t} shares rank and size with {', '.join(clashes)} and "
-            f"carries no discriminator")
+    roots = _TYPE_TABLE[t]
+    codim, count = len(roots), sum(roots)
     arr = reflection_arrangement(g)
-    masks, bases = _flats_of_codim(arr, codim)
-    matches = []
-    for mask in masks:
-        if mask.bit_count() != count:
-            continue
-        if roots is not None and _localization_roots(arr, mask) != roots:
-            continue
-        matches.append(mask)
-    if not matches:
+    levels, bases = arr.partial_levels(codim)
+    masks = levels[codim] if len(levels) > codim else ()
+    best = next((mask for mask in masks if mask.bit_count() == count
+                 and _localization_roots(levels, mask, arr.dim) == roots),
+                None)
+    if best is None:
         name = g if isinstance(g, str) else g.name
         raise NoSuchType(f"{name} has no flat of type {t}")
-    best = min(matches)
     rows, pivots = bases[best]
     flat = Flat(rows, pivots, arr.dim, arr.order)
     return arr.restricted(flat)
@@ -384,20 +367,6 @@ class FlatOrbitLabel:
                 f"count={self.count}, orbit_size={self.orbit_size})")
 
 
-def _identify_type(arr: Arrangement, mask: int, codim: int,
-                   count: int) -> str:
-    candidates = [t for t, (c, n, _) in _TYPE_TABLE.items()
-                  if (c, n) == (codim, count)]
-    if len(candidates) == 1:
-        return candidates[0]
-    if candidates:
-        roots = _localization_roots(arr, mask)
-        hits = [t for t in candidates if _TYPE_TABLE[t][2] == roots]
-        if len(hits) == 1:
-            return hits[0]
-    return f"unclassified(codim={codim},count={count})"
-
-
 def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     out = 0
     for i in _bits(mask):
@@ -416,9 +385,9 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     if codim > 3:
         raise RankLimit(f"flat orbits are computed up to codimension 3, "
                         f"got {codim}")
-    masks, bases = _flats_of_codim(arr, codim)
+    levels, bases = arr.partial_levels(codim)
     perms = _generator_permutations(g, arr)
-    unseen = set(masks)
+    unseen = set(levels[codim] if len(levels) > codim else ())
     labels = []
     while unseen:
         start = min(unseen)
@@ -440,7 +409,9 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
         unseen -= orbit
         rep = min(orbit)
         count = rep.bit_count()
-        tag = _identify_type(arr, rep, codim, count)
+        roots = _localization_roots(levels, rep, arr.dim)
+        tag = next((t for t, r in _TYPE_TABLE.items() if r == roots),
+                   f"unclassified(codim={codim},count={count})")
         rows, pivots = bases[rep]
         flat = Flat(rows, pivots, arr.dim, arr.order)
         labels.append(FlatOrbitLabel(tag, flat, codim, count, len(orbit)))

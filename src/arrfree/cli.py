@@ -56,10 +56,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_arrangement(path: str) -> Arrangement:
-    return Arrangement.from_text(_read_text(path))
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -3,11 +3,11 @@
 The decision routine peels hyperplanes one at a time: an arrangement is
 certified by an addition chain that starts at the empty arrangement and,
 at every step, keeps the exponents of the restriction inside the
-exponents of the smaller arrangement.  Certificates carry all
-intermediate exponent multisets with them, so replaying or printing a
-certificate never refactors a characteristic polynomial for the
-arrangements along the chain; only the restrictions are recomputed when
-a chain is checked.
+exponents of the smaller arrangement.  Such chains depend only on the
+intersection lattice, so the search builds L(A) once, exactly, and then
+works on bitmasks of its flats.  Certificates carry all intermediate
+exponent multisets with them; only replaying a chain, the independent
+check, recomputes restrictions with exact arithmetic.
 
 Refutations of rank-four arrangements report the level at which the
 breadth-first necessary-condition scan dies; rank-three refutations
@@ -18,7 +18,8 @@ import re as _re
 from collections import Counter
 from typing import NamedTuple
 
-from .arrangement import Arrangement, Hyperplane, RankLimit, _bits
+from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
+                          _contract, _sub_exponents)
 from .cyclotomic import FormatError
 
 
@@ -193,17 +194,84 @@ def _candidate_exponents_cached(arr: Arrangement):
     return hit
 
 
-def _low_rank_chain(dim, hyperplanes):
+def _low_rank_chain(dim, atoms):
     # any order certifies a rank <= 2 arrangement: every hyperplane
     # contains the common center, so each restriction is empty (first
     # step) or that center alone
     steps = []
     exps = (0,) * dim
-    for n, h in enumerate(hyperplanes):
+    for n, i in enumerate(atoms):
         rexp = (0,) * (dim - 1) if n == 0 else (0,) * (dim - 2) + (1,)
-        steps.append(InductionStep(h, exps, rexp))
+        steps.append((i, exps, rexp))
         exps = _chain_step(exps, rexp)
     return tuple(steps), exps
+
+
+class _ChainSearch:
+    """Memoised addition-chain search on the subarrangements (masks of
+    atoms) of one lattice.  decide(mask) gives (steps, exponents), a step
+    being (atom, exponents before, restriction exponents), or None.  The
+    restriction of B to atom i is, in the lattice contracted at i, the
+    lines through i that keep a second member of B."""
+
+    __slots__ = ("levels", "dim", "memo", "through", "restrictions")
+
+    def __init__(self, levels, dim):
+        self.levels = levels
+        self.dim = dim
+        self.memo = {}
+        self.through = {}
+        for line in levels[2] if len(levels) > 2 else ():
+            for i in _bits(line):
+                self.through.setdefault(i, []).append(line)
+        self.restrictions = {}
+
+    def decide(self, mask):
+        hit = self.memo.get(mask, _MISSING)
+        if hit is _MISSING:
+            hit = self.memo[mask] = self._search(mask)
+        return hit
+
+    def _search(self, mask):
+        cand = _sub_exponents(self.levels, mask, self.dim)
+        if cand is None:
+            return None
+        if cand.count(0) >= self.dim - 2:
+            # dim - rank roots are 0: rank <= 2, which always splits
+            return _low_rank_chain(self.dim, _bits(mask))
+        admissible = {mask.bit_count() - b for b in set(cand) if b >= 1}
+        options = []
+        for i in _bits(mask):
+            rmask = 0
+            for j, line in enumerate(self.through.get(i, ())):
+                if line & mask & ~(1 << i):
+                    rmask |= 1 << j
+            rc = rmask.bit_count()
+            if rc not in admissible:
+                continue
+            restr = self.restrictions.get(i)
+            if restr is None:
+                restr = self.restrictions[i] = _ChainSearch(
+                    _contract(self.levels, 1 << i, 1), self.dim - 1)
+            rexp = _sub_exponents(restr.levels, rmask, restr.dim)
+            if rexp is None:
+                continue
+            left = _without_submultiset(cand, rexp)
+            if left is None or len(left) != 1 or left[0] < 1:
+                continue
+            options.append((rc, i, restr, rmask, rexp))
+        options.sort(key=lambda t: t[:2])
+        for rc, i, restr, rmask, rexp in options:
+            if restr.decide(rmask) is None:
+                continue
+            child = self.decide(mask & ~(1 << i))
+            if child is None:
+                continue
+            csteps, cexps = child
+            nxt = _chain_step(cexps, rexp)
+            if nxt is not None:
+                return csteps + ((i, cexps, rexp),), nxt
+        return None
 
 
 def is_inductively_free(arr: Arrangement, force: bool = False):
@@ -220,80 +288,26 @@ def is_inductively_free(arr: Arrangement, force: bool = False):
         raise RankLimit(
             f"rank {arr.rank()} decision is not guaranteed tractable;"
             " pass force=True to run it anyway")
-    res = _decide(arr, force)
+    res = _decide(arr)
     _VERDICTS[arr] = res
     return res
 
 
-def _decide(arr: Arrangement, force: bool):
-    dim, order = arr.dim, arr.order
-    empty = Arrangement(dim, (), order)
-    if arr.rank() <= 2:
-        steps, exps = _low_rank_chain(dim, arr.hyperplanes)
-        return InductionCertificate(empty, steps, exps)
+def _decide(arr: Arrangement):
+    search = _ChainSearch(arr.intersection_lattice().levels, arr.dim)
+    res = search.decide((1 << len(arr)) - 1)
+    if res is not None:
+        steps = [InductionStep(arr.hyperplanes[i], before, rexp)
+                 for i, before, rexp in res[0]]
+        return InductionCertificate(Arrangement(arr.dim, (), arr.order),
+                                    steps, res[1])
     top = arr.candidate_exponents()
     if top is None:
         return NotIF(arr, "non-splitting")
-    hyps = arr.hyperplanes
-    m = len(hyps)
-    lines = arr.line_masks()
-    through = [tuple(L for L in lines if L >> i & 1) for i in range(m)]
-    memo: dict = {}
-
-    def decide(mask, sub):
-        hit = memo.get(mask, _MISSING)
-        if hit is not _MISSING:
-            return hit
-        if sub is None:
-            sub = Arrangement(dim, tuple(hyps[i] for i in _bits(mask)), order)
-        if sub.rank() <= 2:
-            res = _low_rank_chain(dim, sub.hyperplanes)
-            memo[mask] = res
-            return res
-        cand = sub.candidate_exponents()
-        if cand is None:
-            memo[mask] = None
-            return None
-        size = len(sub)
-        admissible = {size - b for b in set(cand) if b >= 1}
-        options = []
-        for i in _bits(mask):
-            rc = sum(1 for L in through[i] if (L & mask).bit_count() >= 2)
-            if rc not in admissible:
-                continue
-            restr = sub.restricted(hyps[i])
-            rexp = _candidate_exponents_cached(restr)
-            if rexp is None:
-                continue
-            left = _without_submultiset(cand, rexp)
-            if left is None or len(left) != 1 or left[0] < 1:
-                continue
-            options.append((rc, i, restr, rexp))
-        options.sort(key=lambda t: t[:2])
-        for rc, i, restr, rexp in options:
-            if not is_inductively_free(restr, force):
-                continue
-            child = decide(mask & ~(1 << i), None)
-            if child is None:
-                continue
-            csteps, cexps = child
-            nxt = _chain_step(cexps, rexp)
-            if nxt is None:
-                continue
-            res = (csteps + (InductionStep(hyps[i], cexps, rexp),), nxt)
-            memo[mask] = res
-            return res
-        memo[mask] = None
-        return None
-
-    res = decide((1 << m) - 1, arr)
-    if res is not None:
-        steps, exps = res
-        return InductionCertificate(empty, steps, exps)
     level = None
     if arr.rank() >= 4:
         level = necessary_condition_counts(arr, exponents=top).death_level
-    return NotIF(arr, "exhausted", level, len(memo))
+    return NotIF(arr, "exhausted", level, len(search.memo))
 
 
 # -- induction tables --------------------------------------------------------
@@ -336,6 +350,9 @@ class InductionTable:
                 if not m:
                     raise FormatError(f"line {ln}: expected a 'table v1' header")
                 dim, order = int(m.group(1)), int(m.group(2))
+                if dim < 1 or order < 1:
+                    raise FormatError(
+                        "dimension and zeta order must be positive")
                 continue
             if final is not None:
                 raise FormatError(f"line {ln}: content after the final row")
@@ -489,8 +506,12 @@ class NecCondReport:
 
     @property
     def death_level(self):
+        """Level at which no subset survives, or None when some removal
+        order reaches the empty arrangement."""
         last = self.levels[-1] if self.levels else None
-        return last.n if last is not None and last.count == 0 else None
+        if last is None or last.count or last.n > sum(self.exponents):
+            return None
+        return last.n
 
     def to_lines(self) -> list:
         out = []
@@ -724,18 +745,19 @@ def hereditarily_inductively_free(arr: Arrangement,
     and are recorded as passing without a search.  The verdict map is
     keyed by flat bitmask.
     """
-    lat = arr.intersection_lattice()
+    levels = arr.intersection_lattice().levels
     verdicts = {}
-    ok = True
-    top = min(arr.rank(), arr.dim - 1)
-    for rk in range(top + 1):
+    for rk, level in enumerate(levels[:arr.dim]):
         rest_dim = arr.dim - rk
-        for mask in lat.flats(rk):
+        for mask in level:
             if rest_dim <= 2:
                 verdicts[mask] = True
                 continue
-            sub = arr if rk == 0 else arr.restricted(lat.flat(mask))
-            res = is_inductively_free(sub, force=force)
-            verdicts[mask] = bool(res)
-            ok = ok and bool(res)
-    return HereditaryReport(ok, verdicts, arr)
+            if rk == 0:
+                verdicts[mask] = bool(is_inductively_free(arr, force=force))
+                continue
+            # the center, the last flat, holds every hyperplane
+            contracted = _contract(levels, mask, rk)
+            search = _ChainSearch(contracted, rest_dim)
+            verdicts[mask] = search.decide(contracted[-1][0]) is not None
+    return HereditaryReport(all(verdicts.values()), verdicts, arr)

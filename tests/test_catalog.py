@@ -270,6 +270,13 @@ def test_flat_orbits_of_shipped_groups():
     lines34 = flat_orbits(group("G34"), 2)
     assert sorted((lab.tag, lab.orbit_size) for lab in lines34) == \
         [("A1^2", 2835), ("A2", 1680)]
+    # two codim-3 orbits of G30 have six hyperplanes; only the 300-orbit
+    # localizes to A3 (exponents 1,2,3), the 360-orbit to A1 x I2(5)
+    # (exponents 1,1,4), which the table does not name
+    tags30 = {(lab.count, lab.orbit_size): lab.tag
+              for lab in flat_orbits(group("G30"), 3)}
+    assert tags30[(6, 300)] == "A3"
+    assert tags30[(6, 360)] == "unclassified(codim=3,count=6)"
 
 
 def test_pair_flat_restriction_of_monomial():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import arrfree
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
 from arrfree.freeness import InductionTable, verify_induction_table
@@ -143,6 +145,12 @@ def test_verify_table(capsys, tmp_path):
     mangled = tmp_path / "mangled.tbl"
     mangled.write_text("table v1 dim=3 zeta=4\n0,0,0 | a\n")
     assert run(capsys, "verify-table", str(mangled))[0] == 3
+    # a zero dimension or zeta order in the header is unparseable too
+    for text in ("table v1 dim=0 zeta=1\n0 | |\n",
+                 "table v1 dim=3 zeta=0\n0,0,0 | a | 0,0\n0,0,1 | |\n"):
+        mangled.write_text(text)
+        code, out, err = run(capsys, "verify-table", str(mangled), "--json")
+        assert code == 3 and out == "" and "must be positive" in err, text
 
 
 def test_count_nec(capsys, tmp_path):
@@ -153,6 +161,8 @@ def test_count_nec(capsys, tmp_path):
     code, out, _ = run(capsys, "count-nec", str(boolean))
     assert code == 0
     assert out.splitlines()[1] == "n=1 N=4 exps=0,1,1,1"
+    # the census reaches the empty arrangement, so it does not die
+    assert out.splitlines()[-1] == "n=5 N=0 exps="
     # wrong starting exponents are rejected before the scan
     assert run(capsys, "count-nec", str(boolean),
                "--exponents", "1,1,1,2")[0] == 2
@@ -204,10 +214,15 @@ def test_hereditary(capsys, tmp_path):
 
 
 def test_console_script():
+    # the child imports the same arrfree as this process, installed or not
+    src = str(Path(arrfree.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
     proc = subprocess.run(
         [sys.executable, "-m", "arrfree.cli", "classify", "--r", "2",
          "--max-ell", "3", "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_agree"]
     assert "elapsed" in proc.stderr

@@ -4,7 +4,16 @@ from collections import Counter
 
 import pytest
 
-from arrfree.arrangement import Arrangement, Hyperplane, RankLimit
+from arrfree.arrangement import (
+    Arrangement,
+    Flat,
+    Hyperplane,
+    RankLimit,
+    _bits,
+    _charpoly,
+    _contract,
+    _sub_levels,
+)
 from arrfree.catalog import (
     canonical_induction_order,
     group,
@@ -13,13 +22,19 @@ from arrfree.catalog import (
 )
 from arrfree.cyclotomic import FormatError
 from arrfree.freeness import (
+    InductionCertificate,
+    InductionStep,
     InductionTable,
     NecCondReport,
     NecLevel,
     NonFreeInput,
+    NotIF,
     RecursionWitness,
     ShapeError,
     StaleCertificate,
+    _chain_step,
+    _decide,
+    _without_submultiset,
     certify_chain,
     check_triple,
     emit_induction_table,
@@ -207,6 +222,16 @@ def test_boolean_rank4_scan():
     assert report.levels[0].multisets == ((0, 1, 1, 1),)
     assert report.to_lines()[0] == "n=1 N=4 exps=0,1,1,1"
     assert report.to_lines()[-1] == "n=5 N=0 exps="
+    # every removal order reaches the empty arrangement
+    assert report.death_level is None
+
+
+def test_census_death_levels():
+    for gname, tag, exps, level in (("G33", "A1", (1, 7, 9, 11), 11),
+                                    ("G34", "A1^2", (1, 13, 19, 23), 13)):
+        arr = restriction_by_type(group(gname), tag)
+        report = necessary_condition_counts(arr, exponents=exps)
+        assert report.death_level == level, gname
 
 
 def test_scan_is_thread_deterministic():
@@ -406,3 +431,188 @@ def test_agrees_with_definition_brute_force():
         arr = _random_rank3(rng)
         expected = _brute_if(arr, cache)
         assert bool(is_inductively_free(arr)) == expected, arr.to_text()
+
+
+# -- the exact search the bitmask core replaced, kept as an oracle -----------
+
+def _reference_low_rank_chain(dim, hyperplanes):
+    steps = []
+    exps = (0,) * dim
+    for n, h in enumerate(hyperplanes):
+        rexp = (0,) * (dim - 1) if n == 0 else (0,) * (dim - 2) + (1,)
+        steps.append(InductionStep(h, exps, rexp))
+        exps = _chain_step(exps, rexp)
+    return tuple(steps), exps
+
+
+def _reference_if(arr, cache):
+    hit = cache.get(arr)
+    if hit is None:
+        hit = cache[arr] = _reference_decide(arr, cache)
+    return hit
+
+
+def _reference_decide(arr, cache):
+    """The decision as it was done with exact arithmetic at every node: a
+    new Arrangement per subarrangement and an exact restriction per
+    candidate hyperplane, recursing into the restriction's own decision."""
+    dim, order = arr.dim, arr.order
+    empty = Arrangement(dim, (), order)
+    if arr.rank() <= 2:
+        steps, exps = _reference_low_rank_chain(dim, arr.hyperplanes)
+        return InductionCertificate(empty, steps, exps)
+    top = arr.candidate_exponents()
+    if top is None:
+        return NotIF(arr, "non-splitting")
+    hyps = arr.hyperplanes
+    m = len(hyps)
+    lines = arr.line_masks()
+    through = [tuple(L for L in lines if L >> i & 1) for i in range(m)]
+    memo = {}
+
+    def decide(mask, sub):
+        if mask in memo:
+            return memo[mask]
+        if sub is None:
+            sub = Arrangement(dim, tuple(hyps[i] for i in _bits(mask)), order)
+        if sub.rank() <= 2:
+            res = _reference_low_rank_chain(dim, sub.hyperplanes)
+            memo[mask] = res
+            return res
+        cand = sub.candidate_exponents()
+        if cand is None:
+            memo[mask] = None
+            return None
+        size = len(sub)
+        admissible = {size - b for b in set(cand) if b >= 1}
+        options = []
+        for i in _bits(mask):
+            rc = sum(1 for L in through[i] if (L & mask).bit_count() >= 2)
+            if rc not in admissible:
+                continue
+            restr = sub.restricted(hyps[i])
+            rexp = restr.candidate_exponents()
+            if rexp is None:
+                continue
+            left = _without_submultiset(cand, rexp)
+            if left is None or len(left) != 1 or left[0] < 1:
+                continue
+            options.append((rc, i, restr, rexp))
+        options.sort(key=lambda t: t[:2])
+        for rc, i, restr, rexp in options:
+            if not _reference_if(restr, cache):
+                continue
+            child = decide(mask & ~(1 << i), None)
+            if child is None:
+                continue
+            csteps, cexps = child
+            nxt = _chain_step(cexps, rexp)
+            if nxt is None:
+                continue
+            res = (csteps + (InductionStep(hyps[i], cexps, rexp),), nxt)
+            memo[mask] = res
+            return res
+        memo[mask] = None
+        return None
+
+    res = decide((1 << m) - 1, arr)
+    if res is not None:
+        steps, exps = res
+        return InductionCertificate(empty, steps, exps)
+    level = None
+    if arr.rank() >= 4:
+        level = necessary_condition_counts(arr, exponents=top).death_level
+    return NotIF(arr, "exhausted", level, len(memo))
+
+
+def _oracle_inputs():
+    """Seeded random rank-3/rank-4 arrangements, half of them drawn from
+    reflection arrangements so that their polynomials tend to split, and
+    the intermediate families, a pencil and a refuted monomial one."""
+    rng = random.Random(20261018)
+    pools = (intermediate(3, 3, 3), intermediate(2, 4, 4))
+    cases = []
+    for trial in range(30):
+        if trial % 2:
+            dim = 3 + trial // 2 % 2
+            cases.append(_random_arrangement(rng, dim, rng.randint(4, 9)))
+        else:
+            pool = pools[trial // 2 % 2]
+            hyps = rng.sample(pool.hyperplanes,
+                              rng.randint(len(pool) // 2, len(pool) - 1))
+            cases.append(Arrangement(pool.dim, hyps, pool.order))
+    cases += [intermediate(3, 4, k) for k in range(5)]
+    cases += [intermediate(2, 4, k) for k in range(5)]
+    cases += [Arrangement(3, ["a", "b", "a - b", "a + b"]),
+              intermediate(4, 3, 0)]
+    return cases
+
+
+def _flat_of(arr, mask):
+    return Flat.from_covectors([arr.hyperplanes[i] for i in _bits(mask)],
+                               arr.dim, arr.order)
+
+
+def test_bitmask_search_matches_exact_search():
+    cache = {}
+    seen = Counter()
+    for arr in _oracle_inputs():
+        want = _reference_decide(arr, cache)
+        got = _decide(arr)
+        assert bool(got) == bool(want), arr.to_text()
+        if want:
+            assert got.steps == want.steps, arr.to_text()
+            assert got.exponents == want.exponents
+            seen["free" if arr.rank() > 2 else "low-rank"] += 1
+        else:
+            assert (got.reason, got.level, got.explored) == \
+                (want.reason, want.level, want.explored), arr.to_text()
+            seen[want.reason if want.level is None else "census"] += 1
+    # the inputs reach every kind of verdict
+    assert set(seen) == {"free", "low-rank", "non-splitting", "exhausted",
+                         "census"}, seen
+
+
+def test_subarrangement_and_restriction_lattices_match_exact():
+    rng = random.Random(7)
+    for arr in _oracle_inputs():
+        levels = arr.intersection_lattice().levels
+        m = len(arr)
+        for _ in range(4):
+            mask = rng.getrandbits(m)
+            atoms = list(_bits(mask))
+            sub = Arrangement(arr.dim, [arr.hyperplanes[i] for i in atoms],
+                              arr.order)
+            want = [sorted(sum(1 << atoms[j] for j in _bits(x)) for x in lv)
+                    for lv in sub.intersection_lattice().levels]
+            assert [sorted(lv) for lv in _sub_levels(levels, mask)] == want
+        for k, level in enumerate(levels):
+            if k == 0 or k >= arr.dim:
+                continue
+            for x in level:
+                restr = arr.restricted(_flat_of(arr, x))
+                got = _contract(levels, x, k)
+                assert _charpoly(got, arr.dim - k) == \
+                    restr.characteristic_polynomial()
+                # flats of each rank, by how many hyperplanes they hold
+                assert [sorted(y.bit_count() for y in lv) for lv in got] == \
+                    [sorted(y.bit_count() for y in lv)
+                     for lv in restr.intersection_lattice().levels]
+
+
+def test_hereditary_matches_exact_restrictions():
+    cache = {}
+    for arr in _oracle_inputs():
+        want = {}
+        for k, level in enumerate(arr.intersection_lattice().levels):
+            if k >= arr.dim:
+                continue
+            for x in level:
+                if arr.dim - k <= 2:
+                    want[x] = True
+                else:
+                    sub = arr if k == 0 else arr.restricted(_flat_of(arr, x))
+                    want[x] = bool(_reference_if(sub, cache))
+        report = hereditarily_inductively_free(arr)
+        assert report.verdicts == want, arr.to_text()
+        assert report.ok == all(want.values())
