@@ -3,10 +3,10 @@
 Hyperplanes are normalized covectors (first nonzero entry 1).  The
 intersection lattice is built level by level; every flat is identified by
 the bitmask of the hyperplanes containing it, which is a complete
-invariant for central arrangements.  All linear algebra is exact; a
-fixed-prime modular image is used only as a sound filter (a rejection
-mod p is always a true rejection, and every acceptance is confirmed
-exactly before use).
+invariant for central arrangements.  Each flat is found once, and its
+members are tested by one probe vector modulo a fixed prime (a rejection
+mod p is always a true rejection) and confirmed exactly.  Exact bases are
+kept only for the flats that generate the next level.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from arrfree.cyclotomic import (
     Cyc,
     FormatError,
     _coerce,
+    check_header,
     format_linear,
     parse_linear,
     parse_scalar,
@@ -52,6 +53,9 @@ class RankLimit(ValueError):
 # root 53.  Arrangements at other orders use the pure exact path.
 _P = 2345546909650744801
 _PRIMITIVE = 53
+# the two probe vectors of a flat take the values b^(f+1) at its free
+# coordinates f, for these bases b
+_PROBE_BASES = (3, 5)
 
 _mod_root_cache: dict[int, int | None] = {}
 
@@ -65,61 +69,17 @@ def _mod_root(order: int):
     return r
 
 
-def _mod_value(c: Cyc, root: int):
-    if c.den % _P == 0:
-        return None
-    acc = 0
-    w = 1
-    for a in c.num:
-        if a:
-            acc = (acc + a * w) % _P
-        w = w * root % _P
-    return acc * pow(c.den, -1, _P) % _P
-
-
-def _mod_rows(rows, root):
-    """Images of exact rref rows in F_P, or None when not representable."""
-    if root is None:
-        return None
+def _mod_vector(vec, root: int):
+    """The image of an exact vector in F_P, or None when not representable."""
     out = []
-    for r in rows:
-        mr = []
-        for c in r:
-            v = _mod_value(c, root)
-            if v is None:
-                return None
-            mr.append(v)
-        out.append(tuple(mr))
-    return tuple(out)
-
-
-def _mod_reduce_zero(vec, mrows, pivots) -> bool:
-    vec = list(vec)
-    for row, p in zip(mrows, pivots):
-        c = vec[p]
-        if c:
-            vec = [(a - c * b) % _P for a, b in zip(vec, row)]
-    return not any(vec)
-
-
-def _mod_rref_key(rows, dim: int):
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][col], -1, _P)
-        rows[r] = [v * inv % _P for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % _P for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(pivots), tuple(v for row in rows[:r] for v in row)
+    for c in vec:
+        if c.den % _P == 0:
+            return None
+        acc = 0
+        for a in reversed(c.num):
+            acc = (acc * root + a) % _P
+        out.append(acc * pow(c.den, -1, _P) % _P)
+    return out
 
 
 # -- exact linear algebra over Cyc -------------------------------------------
@@ -129,12 +89,8 @@ def _reduce(vec: list, rows, pivots) -> list:
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
-            vec = [a - c * b for a, b in zip(vec, row)]
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
     return vec
-
-
-def _in_span(vec, rows, pivots) -> bool:
-    return not any(_reduce(list(vec), rows, pivots))
 
 
 def _rref_extend(rows, pivots, vec):
@@ -143,6 +99,12 @@ def _rref_extend(rows, pivots, vec):
     p = next((i for i, v in enumerate(red) if v), None)
     if p is None:
         return None
+    return _rref_insert(rows, pivots, red, p)
+
+
+def _rref_insert(rows, pivots, red, p):
+    """Insert a vector already reduced by the rref basis; p is its first
+    nonzero coordinate."""
     inv = red[p].inverse()
     red = tuple(v * inv for v in red)
     new_rows = []
@@ -279,7 +241,7 @@ class Flat:
         vec = [c.promote(n) for c in h.coeffs]
         rows = self.rows if n == self.order else \
             [[c.promote(n) for c in r] for r in self.rows]
-        return _in_span(vec, rows, self.pivots)
+        return not any(_reduce(vec, rows, self.pivots))
 
     def __eq__(self, other):
         if not isinstance(other, Flat):
@@ -324,7 +286,7 @@ class Arrangement:
         self._lattice = None
         self._rank = None
         self._hash = None
-        self._partial = {}
+        self._partial = {0: ((0,),)}
 
     # -- basics ----------------------------------------------------------
 
@@ -452,7 +414,8 @@ class Arrangement:
 
     def intersection_lattice(self) -> "Lattice":
         if self._lattice is None:
-            self._lattice = Lattice(self)
+            levels = self._partial[max(self._partial)]
+            self._lattice = Lattice(self, _build_levels(self, None, levels))
         return self._lattice
 
     def line_masks(self) -> tuple[int, ...]:
@@ -461,20 +424,20 @@ class Arrangement:
         return levels[2] if len(levels) > 2 else ()
 
     def partial_levels(self, max_rank: int):
-        """Flat masks by rank up to max_rank, with their annihilator bases.
+        """Flat masks by rank up to max_rank, and bases[mask], the rref basis
+        of a flat's annihilator, computed when read.
 
-        Cached; served from the full lattice when that has been built."""
+        Cached; resumed from the deepest cached level, and served from the
+        full lattice when that has been built."""
         if self._lattice is not None:
-            lat = self._lattice
-            return lat.levels[:max_rank + 1], lat._bases
-        for depth in sorted(self._partial):
-            if depth >= max_rank:
-                levels, bases = self._partial[depth]
-                return levels[:max_rank + 1], bases
-        levels, bases = _build_levels(self, max_rank=max_rank)
-        levels = tuple(tuple(lv) for lv in levels)
-        self._partial[max_rank] = (levels, bases)
-        return levels, bases
+            levels = self._lattice.levels
+        else:
+            depth = max(self._partial)
+            levels = self._partial[depth]
+            if depth < max_rank:
+                levels = _build_levels(self, max_rank, levels)
+                self._partial[max_rank] = levels
+        return levels[:max_rank + 1], _Bases(self)
 
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """Coefficients of the characteristic polynomial, constant first."""
@@ -518,8 +481,7 @@ class Arrangement:
                     raise FormatError(f"bad arrangement header: {raw.strip()!r}")
                 header = line
                 dim, order = int(m.group(1)), int(m.group(2))
-                if dim < 1 or order < 1:
-                    raise FormatError("dimension and zeta order must be positive")
+                check_header(dim, order)
                 continue
             entries = [e.strip() for e in line.split(",")]
             if len(entries) != dim:
@@ -537,103 +499,143 @@ class Arrangement:
 
 # -- lattice construction -------------------------------------------------------
 
-class _FlatRec:
-    __slots__ = ("mask", "rows", "pivots", "mrows")
-
-    def __init__(self, mask, rows, pivots, mrows):
-        self.mask = mask
-        self.rows = rows
-        self.pivots = pivots
-        self.mrows = mrows
-
-
-def _flat_mask(rows, pivots, known_mask, covs, mcovs, mrows):
-    """Exact mask of the flat spanned by rows; modular filter plus exact
-    confirmation."""
-    mask = known_mask
-    m = len(covs)
-    for j in range(m):
-        if mask >> j & 1:
-            continue
-        if mcovs is not None and mrows is not None:
-            if not _mod_reduce_zero(list(mcovs[j]), mrows, pivots):
-                continue
-        if _in_span(covs[j], rows, pivots):
-            mask |= 1 << j
-    return mask
+def _flat_basis(covs, mask: int, rank=None):
+    """The rref basis of the annihilator of the flat mask, from its
+    hyperplanes; rank, when known, stops the scan early.  The rref is
+    unique, so it does not depend on how the flat was found."""
+    rows: list = []
+    pivots: list = []
+    for j in _bits(mask):
+        if len(rows) == rank:
+            break
+        rows, pivots = _rref_extend(rows, pivots, covs[j]) or (rows, pivots)
+    return tuple(rows), tuple(pivots)
 
 
-def _build_levels(arr: Arrangement, max_rank=None):
-    """Flat masks per rank with their rref bases, level by level."""
+class _Bases:
+    """bases[mask]: the rref basis of the flat mask, computed when read."""
+
+    __slots__ = ("covs",)
+
+    def __init__(self, arr: Arrangement):
+        self.covs = [h.coeffs for h in arr.hyperplanes]
+
+    def __getitem__(self, mask: int):
+        return _flat_basis(self.covs, mask)
+
+
+def _above(x: int, by_atom) -> int:
+    """x and every found flat above it; by_atom[a] lists those through a."""
+    skip = x
+    if x:
+        for z in min((by_atom[a] for a in _bits(x)), key=len):
+            if z & x == x:
+                skip |= z
+    return skip
+
+
+def _probe_keys(rows, pivots, mcovs, rest: int, root: int):
+    """A key mod P for each hyperplane j in rest, over the flat X with the
+    given rref basis; None when a row of the basis has no image in F_P.
+
+    u and w are two fixed vectors of X mod P, and j gets the point
+    (cov_j.u : cov_j.w), so cov_j.(W_i u - U_i w) = 0 says that j passes
+    the probe of X v H_i.  A member j of X v H_i has cov_j = t cov_i modulo
+    the rows of X, so it gets i's point, or (0 : 0) when t = 0 mod P; key
+    None marks (0 : 0), which no probe rejects."""
+    mrows = [_mod_vector(r, root) for r in rows]
+    if None in mrows:
+        return None
+    probes = []
+    for base in _PROBE_BASES:
+        u = [0 if c in pivots else pow(base, c + 1, _P)
+             for c in range(len(mcovs[0]))]
+        for mr, p in zip(mrows, pivots):
+            u[p] = -sum(a * b for a, b in zip(mr, u)) % _P
+        probes.append(u)
+    keys = {}
+    for j in _bits(rest):
+        a, b = (sum(c * v for c, v in zip(mcovs[j], u)) % _P for u in probes)
+        keys[j] = b * pow(a, -1, _P) % _P if a else (-1 if b else None)
+    return keys
+
+
+def _same_line(red_j, red_i, q: int) -> bool:
+    """Exact test that red_j is a multiple of red_i, whose first nonzero
+    coordinate is q; fraction-free, so without an inverse."""
+    a, b = red_i[q], red_j[q]
+    return all(s * a == b * t for s, t in zip(red_j, red_i) if s or t)
+
+
+def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
+    """Flat masks by rank up to max_rank (every rank when None), resumed
+    from the given lower levels.
+
+    Each flat is found once: a rank-(k+1) flat that contains the rank-k
+    flat X and H_i is X v H_i, so the flats above X found earlier are
+    skipped by their masks, and every other i gives a new flat.  Its other
+    members are the hyperplanes j that pass its probe, each confirmed
+    exactly.  Exact bases are kept only for the flats that generate the
+    next level."""
     m = len(arr)
-    dim = arr.dim
-    covs = [list(h.coeffs) for h in arr.hyperplanes]
+    covs = [h.coeffs for h in arr.hyperplanes]
     root = _mod_root(arr.order)
-    mcovs = None
-    if root is not None:
-        mcovs = []
-        for v in covs:
-            mv = [_mod_value(c, root) for c in v]
-            if any(x is None for x in mv):
-                mcovs = None
-                break
-            mcovs.append(tuple(mv))
-    top = _FlatRec(0, (), (), () if mcovs is not None else None)
-    levels = [[0]]
-    bases = {0: ((), ())}
-    current = [top]
-    k = 0
-    limit = max_rank if max_rank is not None else dim
+    mcovs = [_mod_vector(v, root) for v in covs] if root else [None]
+    mcovs = None if None in mcovs else mcovs
+    limit = arr.dim if max_rank is None else max_rank
+    levels = list(levels)
+    k = len(levels) - 1
+    current = [(x, *_flat_basis(covs, x, k)) for x in levels[k]]
+    full = (1 << m) - 1
     while current and k < limit:
         k += 1
-        found: dict[int, _FlatRec] = {}
-        buckets: dict[tuple, list[int]] = {}
-        for X in current:
-            skip = X.mask
-            for i in range(m):
-                if skip >> i & 1:
-                    continue
-                cand_mask = X.mask | (1 << i)
-                rec = None
-                key = None
-                if mcovs is not None and X.mrows is not None:
-                    key = _mod_rref_key(list(X.mrows) + [mcovs[i]], dim)
-                    for mk in buckets.get(key, ()):
-                        if cand_mask & ~mk == 0:
-                            rec = found[mk]
-                            break
-                if rec is None:
-                    rows, pivots = _rref_extend(list(X.rows), list(X.pivots),
-                                                covs[i])
-                    mrows = _mod_rows(rows, root) if mcovs is not None else None
-                    mask = _flat_mask(rows, pivots, cand_mask, covs, mcovs,
-                                      mrows)
-                    rec = found.get(mask)
-                    if rec is None:
-                        rec = _FlatRec(mask, tuple(rows), tuple(pivots), mrows)
-                        found[mask] = rec
-                        bases[mask] = (rec.rows, rec.pivots)
-                    if key is not None:
-                        buckets.setdefault(key, []).append(rec.mask)
-                skip |= rec.mask
-        masks = sorted(found)
-        levels.append(masks)
-        current = [found[mask] for mask in masks]
-    if not levels[-1]:
-        levels.pop()
-    return levels, bases
+        generating = k < limit
+        found = []
+        by_atom: list = [[] for _ in range(m)]
+        nxt = []
+        for x, rows, pivots in current:
+            rest = full & ~_above(x, by_atom)
+            keys = (_probe_keys(rows, pivots, mcovs, rest, root)
+                    if mcovs is not None and rest else None)
+            groups: dict = {}
+            for j, key in (keys or {}).items():
+                groups[key] = groups.get(key, 0) | 1 << j
+            anywhere = groups.pop(None, 0)
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                rest ^= low
+                key = None if keys is None else keys[i]
+                cand = rest if key is None else (groups[key] | anywhere) & rest
+                mask = x | low
+                if cand or generating:
+                    red = _reduce(list(covs[i]), rows, pivots)
+                    q = next(c for c, v in enumerate(red) if v)
+                    for j in _bits(cand):
+                        if _same_line(_reduce(list(covs[j]), rows, pivots),
+                                      red, q):
+                            mask |= 1 << j
+                    if generating:
+                        nxt.append((mask, *_rref_insert(rows, pivots, red, q)))
+                rest &= ~mask
+                found.append(mask)
+                for a in _bits(mask):
+                    by_atom[a].append(mask)
+        if not found:
+            break
+        levels.append(tuple(sorted(found)))
+        current = sorted(nxt)
+    return tuple(levels)
 
 
 class Lattice:
     """Intersection lattice of a central arrangement; flats are bitmasks."""
 
-    __slots__ = ("arrangement", "levels", "_bases")
+    __slots__ = ("arrangement", "levels")
 
-    def __init__(self, arrangement: Arrangement):
-        levels, bases = _build_levels(arrangement)
+    def __init__(self, arrangement: Arrangement, levels):
         self.arrangement = arrangement
-        self.levels = tuple(tuple(lv) for lv in levels)
-        self._bases = bases
+        self.levels = levels
 
     @property
     def rank(self) -> int:
@@ -769,17 +771,11 @@ def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
         return True
     la = a.intersection_lattice()
     lb = b.intersection_lattice()
-    if la.rank != lb.rank:
-        return False
-    if [len(lv) for lv in la.levels] != [len(lv) for lv in lb.levels]:
+    if [sorted(x.bit_count() for x in lv) for lv in la.levels] != \
+            [sorted(x.bit_count() for x in lv) for lv in lb.levels]:
         return False
     if la.rank < 2:
         return True
-    for k in range(2, la.rank + 1):
-        pa = sorted(bin(x).count("1") for x in la.levels[k])
-        pb = sorted(bin(x).count("1") for x in lb.levels[k])
-        if pa != pb:
-            return False
     cola = _wl_colors(m, la.levels)
     colb = _wl_colors(m, lb.levels)
     if sorted(cola) != sorted(colb):

@@ -147,6 +147,9 @@ def cmd_induce(args) -> int:
     if args.order == "canonical":
         if args.r is None or args.ell is None:
             raise InvalidParameter("--order canonical needs --r and --ell")
+        if args.ell != arr.dim:
+            raise InvalidParameter(f"--ell {args.ell} does not match the"
+                                   f" dimension {arr.dim} of the arrangement")
         rep = certify_chain(arr.dim, arr.order,
                             canonical_induction_order(args.r, args.ell))
         if not rep:

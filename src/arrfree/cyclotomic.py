@@ -68,6 +68,20 @@ def _degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+# The largest root order a file header may name, so that _power_table(n)
+# holds at most n * phi(n) <= 10^6 integers.  The shipped groups and
+# fixtures use orders up to 15.
+MAX_ORDER = 1000
+
+
+def check_header(dim: int, order: int) -> None:
+    """Reject a file header whose dimension or root order is out of range."""
+    if dim < 1 or order < 1:
+        raise FormatError("dimension and zeta order must be positive")
+    if order > MAX_ORDER:
+        raise FormatError(f"zeta order {order} is above the cap {MAX_ORDER}")
+
+
 @lru_cache(maxsize=None)
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """z^k reduced to the power basis, for k = 0 .. n-1."""

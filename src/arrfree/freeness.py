@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
                           _contract, _sub_exponents)
-from .cyclotomic import FormatError
+from .cyclotomic import FormatError, check_header
 
 
 class ShapeError(ValueError):
@@ -84,27 +84,16 @@ def _without_submultiset(exps, sub):
     return tuple(sorted((+left).elements()))
 
 
-def _chain_step(exps, restriction_exps):
-    """Exponents after adding a hyperplane whose restriction has the given
-    exponents, or None when the shapes do not mesh."""
+def _chain_step(exps, restriction_exps, delta=1):
+    """Exponents after adding (delta 1) or removing (delta -1) a hyperplane
+    whose restriction, taken in the larger arrangement, has the given
+    exponents; None when the shapes do not mesh."""
     if len(restriction_exps) + 1 != len(exps):
         return None
     rest = _without_submultiset(exps, restriction_exps)
-    if rest is None or len(rest) != 1:
+    if rest is None or len(rest) != 1 or rest[0] + delta < 0:
         return None
-    return tuple(sorted(restriction_exps + (rest[0] + 1,)))
-
-
-def _removal_step(exps, restriction_exps):
-    """Exponents after removing a hyperplane whose restriction (taken before
-    the removal) has the given exponents, or None when the shapes do not
-    mesh."""
-    if len(restriction_exps) + 1 != len(exps):
-        return None
-    rest = _without_submultiset(exps, restriction_exps)
-    if rest is None or len(rest) != 1 or rest[0] < 1:
-        return None
-    return tuple(sorted(restriction_exps + (rest[0] - 1,)))
+    return tuple(sorted(restriction_exps + (rest[0] + delta,)))
 
 
 # -- certificates ------------------------------------------------------------
@@ -350,9 +339,7 @@ class InductionTable:
                 if not m:
                     raise FormatError(f"line {ln}: expected a 'table v1' header")
                 dim, order = int(m.group(1)), int(m.group(2))
-                if dim < 1 or order < 1:
-                    raise FormatError(
-                        "dimension and zeta order must be positive")
+                check_header(dim, order)
                 continue
             if final is not None:
                 raise FormatError(f"line {ln}: content after the final row")
@@ -692,19 +679,19 @@ def verify_recursion_witness(witness: RecursionWitness,
                 return _move_fail(k, f"{h.form()} is already present")
             nxt_arr = arr.with_hyperplane(h)
             restr = nxt_arr.restricted(h)
-            stepper = _chain_step
+            delta = 1
         else:
             if h not in arr:
                 return _move_fail(k, f"{h.form()} is not present")
             restr = arr.restricted(h)
             nxt_arr = arr.without_hyperplane(h)
-            stepper = _removal_step
+            delta = -1
         rexp = _candidate_exponents_cached(restr)
         if rexp is None:
             return _move_fail(
                 k, f"restriction of {h.form()} has a non-splitting"
                    " characteristic polynomial")
-        nxt_exps = stepper(exps, rexp)
+        nxt_exps = _chain_step(exps, rexp, delta)
         if nxt_exps is None:
             return _move_fail(
                 k, f"restriction exponents {_render_exps(rexp)} do not sit"

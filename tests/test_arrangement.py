@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from arrfree import arrangement
 from arrfree.arrangement import (
     Arrangement,
     Flat,
@@ -17,12 +18,23 @@ from arrfree.arrangement import (
     NotMember,
     ZeroDimensional,
     _P,
-    _in_span,
+    _bits,
+    _build_levels,
     _mod_root,
+    _mod_vector,
+    _reduce,
     _rref,
+    _rref_extend,
     lattice_isomorphic,
 )
-from arrfree.cyclotomic import Cyc, cyclotomic_polynomial, root_of_unity
+from arrfree.catalog import group, group_names, reflection_arrangement
+from arrfree.cyclotomic import (
+    MAX_ORDER,
+    Cyc,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
+from arrfree.freeness import InductionTable
 
 
 def boolean_arrangement(dim: int) -> Arrangement:
@@ -72,7 +84,7 @@ def brute_flats(arr: Arrangement) -> dict[int, set[int]]:
             seen.add(key)
             mask = 0
             for j in range(m):
-                if _in_span(covs[j], rows, pivots):
+                if not any(_reduce(covs[j], rows, pivots)):
                     mask |= 1 << j
             out.setdefault(len(rows), set()).add(mask)
     return out
@@ -272,6 +284,230 @@ def test_charpoly_product_fuzz():
         assert list(p.characteristic_polynomial()) == prod
 
 
+# -- the lattice kernel against the builder it replaced -------------------------
+
+def _mod_reduce_zero(vec, mrows, pivots) -> bool:
+    vec = list(vec)
+    for row, p in zip(mrows, pivots):
+        c = vec[p]
+        if c:
+            vec = [(a - c * b) % _P for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+def _mod_rref_key(rows, dim: int):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(dim):
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][col], -1, _P)
+        rows[r] = [v * inv % _P for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % _P for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), tuple(v for row in rows[:r] for v in row)
+
+
+def _reference_levels(arr: Arrangement, max_rank=None):
+    """Flat masks per rank with the rref basis of every flat, built the way
+    the lattice was built before the one-pass kernel: a mod-P rref key for
+    every (flat, hyperplane) pair to find duplicates, a mod-P elimination
+    of every hyperplane against every new flat, and an exact rref for
+    every flat."""
+    m, dim = len(arr), arr.dim
+    covs = [list(h.coeffs) for h in arr.hyperplanes]
+    root = _mod_root(arr.order)
+    mcovs = [_mod_vector(v, root) for v in covs] if root else [None]
+    mcovs = None if None in mcovs else mcovs
+
+    def mod_rows(rows):
+        out = [_mod_vector(r, root) for r in rows] if mcovs else [None]
+        return None if None in out else out
+
+    def flat_mask(rows, pivots, mask, mrows):
+        for j in range(m):
+            if mask >> j & 1:
+                continue
+            if mrows is not None and not _mod_reduce_zero(mcovs[j], mrows,
+                                                          pivots):
+                continue
+            if not any(_reduce(covs[j], rows, pivots)):
+                mask |= 1 << j
+        return mask
+
+    levels = [[0]]
+    bases = {0: ((), ())}
+    current = [(0, (), (), [] if mcovs else None)]
+    limit = dim if max_rank is None else max_rank
+    while current and len(levels) <= limit:
+        found: dict = {}
+        buckets: dict = {}
+        for xmask, xrows, xpivots, xmrows in current:
+            skip = xmask
+            for i in range(m):
+                if skip >> i & 1:
+                    continue
+                cand = xmask | 1 << i
+                rec = key = None
+                if xmrows is not None:
+                    key = _mod_rref_key(list(xmrows) + [mcovs[i]], dim)
+                    rec = next((found[mk] for mk in buckets.get(key, ())
+                                if cand & ~mk == 0), None)
+                if rec is None:
+                    rows, pivots = _rref_extend(list(xrows), list(xpivots),
+                                                covs[i])
+                    mrows = mod_rows(rows)
+                    mask = flat_mask(rows, pivots, cand, mrows)
+                    rec = found.get(mask)
+                    if rec is None:
+                        rec = found[mask] = (mask, tuple(rows),
+                                             tuple(pivots), mrows)
+                        bases[mask] = rec[1:3]
+                    if key is not None:
+                        buckets.setdefault(key, []).append(mask)
+                skip |= rec[0]
+        levels.append(sorted(found))
+        current = [found[mk] for mk in levels[-1]]
+    if not levels[-1]:
+        levels.pop()
+    return tuple(tuple(lv) for lv in levels), bases
+
+
+def _random_over(rng: random.Random, order: int, dim: int, m: int):
+    """m hyperplanes with entries from a small pool, so that many of them
+    meet in common flats."""
+    z = root_of_unity(order)
+    pool = [0, 0, 0, 0, 1, -1, 2, z ** rng.randrange(order),
+            -(z ** rng.randrange(order)), z ** rng.randrange(order) + 1]
+    covs = []
+    while len(covs) < m:
+        v = [rng.choice(pool) for _ in range(dim)]
+        if any(v):
+            covs.append([Cyc(order, 0) + c for c in v])
+    return Arrangement(dim, covs, order)
+
+
+def _oracle_cases():
+    rng = random.Random(4141)
+    cases = []
+    for order in (1, 3, 4, 5, 15):
+        for _ in range(6):
+            dim = rng.choice([3, 3, 4])
+            cases.append(_random_over(rng, order, dim, rng.randint(5, 9)))
+    for _ in range(2):
+        cases.append(_random_over(rng, 41, 3, rng.randint(6, 8)))
+    return cases
+
+
+def _assert_same_as_reference(arr: Arrangement, max_rank=None):
+    expected, expected_bases = _reference_levels(arr, max_rank)
+    fresh = Arrangement(arr.dim, arr.hyperplanes, arr.order)
+    if max_rank is None:
+        levels = fresh.intersection_lattice().levels
+        _, bases = fresh.partial_levels(arr.dim)
+    else:
+        levels, bases = fresh.partial_levels(max_rank)
+    assert levels == expected
+    for level in levels:
+        for mask in level:
+            assert bases[mask] == expected_bases[mask], mask
+
+
+def test_lattice_matches_reference_builder():
+    assert _mod_root(41) is None  # order 41 takes the all-exact path
+    for arr in _oracle_cases():
+        _assert_same_as_reference(arr)
+
+
+def test_catalog_lattices_match_reference_builder():
+    for name in group_names():
+        arr = reflection_arrangement(name)
+        _assert_same_as_reference(arr, 2 if name == "G34" else 3)
+
+
+def test_partial_levels_resume(monkeypatch):
+    arr = reflection_arrangement("G33")
+    expected, _ = _reference_levels(arr, 3)
+    starts = []
+
+    def recording(a, max_rank=None, levels=((0,),)):
+        starts.append(len(levels) - 1)
+        return _build_levels(a, max_rank, levels)
+
+    monkeypatch.setattr(arrangement, "_build_levels", recording)
+    fresh = Arrangement(arr.dim, arr.hyperplanes, arr.order)
+    assert fresh.partial_levels(1)[0] == expected[:2]
+    assert fresh.line_masks() == expected[2]
+    assert fresh.partial_levels(3)[0] == expected
+    assert fresh.partial_levels(2)[0] == expected[:3]
+    whole = fresh.intersection_lattice().levels
+    assert whole[:4] == expected and whole == _reference_levels(arr)[0]
+    assert fresh.partial_levels(4)[0] == whole[:5]
+    # each call resumed from the deepest level built before it
+    assert starts == [0, 1, 2, 3]
+
+
+def test_probe_is_only_a_filter(monkeypatch):
+    cases = _oracle_cases()[::3]
+    cases.append(reflection_arrangement("G25"))
+    expected = [_reference_levels(arr)[0] for arr in cases]
+    confirmed = []
+    same_line = arrangement._same_line
+
+    def counting(*args):
+        confirmed.append(1)
+        return same_line(*args)
+
+    monkeypatch.setattr(arrangement, "_same_line", counting)
+    assert [_build_levels(arr) for arr in cases] == expected
+    filtered = len(confirmed)
+    # a member whose point is (0 : 0) mod P stays a candidate of every flat
+    probe_keys = arrangement._probe_keys
+
+    def some_unknown(rows, pivots, mcovs, rest, root):
+        keys = probe_keys(rows, pivots, mcovs, rest, root)
+        return {j: None if j % 3 == 1 else key for j, key in keys.items()}
+
+    monkeypatch.setattr(arrangement, "_probe_keys", some_unknown)
+    assert [_build_levels(arr) for arr in cases] == expected
+    # a probe that passes every hyperplane leaves the levels unchanged:
+    # every member is confirmed exactly
+    monkeypatch.setattr(arrangement, "_probe_keys",
+                        lambda rows, pivots, mcovs, rest, root:
+                        dict.fromkeys(_bits(rest), 0))
+    assert [_build_levels(arr) for arr in cases] == expected
+    assert len(confirmed) > 2 * filtered
+
+
+def test_broken_kernels_are_caught(monkeypatch):
+    cases = _oracle_cases()[::3] + [reflection_arrangement("G25")]
+    expected = [_reference_levels(arr)[0] for arr in cases]
+
+    def no_subset_check(x, by_atom):
+        skip = x
+        if x:
+            for z in min((by_atom[a] for a in _bits(x)), key=len):
+                skip |= z
+        return skip
+
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_above", no_subset_check)
+        assert [_build_levels(arr) for arr in cases] != expected
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_probe_keys",
+                   lambda rows, pivots, mcovs, rest, root:
+                   dict.fromkeys(_bits(rest), 0))
+        mp.setattr(arrangement, "_same_line", lambda *args: True)
+        assert [_build_levels(arr) for arr in cases] != expected
+
+
 # -- text form ----------------------------------------------------------------
 
 def test_arr_text_roundtrip():
@@ -298,6 +534,18 @@ def test_arr_text_rejects_malformed():
     for text in bad:
         with pytest.raises(FormatError):
             Arrangement.from_text(text)
+
+
+def test_zeta_order_cap():
+    # every shipped group's order is admitted; one above the cap is not
+    for name in group_names():
+        order = group(name).order
+        assert Arrangement.from_text(f"arr v1 dim=1 zeta={order}\n").order \
+            == order
+    with pytest.raises(FormatError, match="above the cap"):
+        Arrangement.from_text(f"arr v1 dim=1 zeta={MAX_ORDER + 1}\n")
+    with pytest.raises(FormatError, match="above the cap"):
+        InductionTable.parse(f"table v1 dim=1 zeta={MAX_ORDER + 1}\n0 | |\n")
 
 
 def _miller_rabin(n, bases):

@@ -13,6 +13,7 @@ import pytest
 import arrfree
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
+from arrfree.cyclotomic import MAX_ORDER
 from arrfree.freeness import InductionTable, verify_induction_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "tables"
@@ -131,6 +132,22 @@ def test_induce_canonical(capsys, tmp_path):
     assert run(capsys, "induce", other, "--order", "canonical",
                "--r", "3", "--ell", "3")[0] == 2
     assert run(capsys, "induce", path, "--order", "canonical")[0] == 2
+    # a canonical chain of another dimension is a usage error, not a crash
+    code, out, err = run(capsys, "induce", path, "--order", "canonical",
+                         "--r", "3", "--ell", "4")
+    assert code == 2 and out == "" and err.startswith("error: --ell 4")
+
+
+def test_zeta_order_above_the_cap_is_a_parse_error(capsys, tmp_path):
+    # one above the cap: rejected from the header, before any table is built
+    arr = tmp_path / "big.arr"
+    arr.write_text(f"arr v1 dim=2 zeta={MAX_ORDER + 1}\n1, 0\n")
+    tbl = tmp_path / "big.tbl"
+    tbl.write_text(f"table v1 dim=1 zeta={MAX_ORDER + 1}\n0 | a | \n1 | |\n")
+    for argv in (("exponents", str(arr)), ("induce", str(arr)),
+                 ("count-nec", str(arr)), ("verify-table", str(tbl))):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 3 and out == "" and "above the cap" in err, argv
 
 
 def test_verify_table(capsys, tmp_path):
