@@ -30,6 +30,7 @@ from arrfree.arrangement import (
 )
 from arrfree.cyclotomic import (
     Cyc,
+    MAX_ORDER,
     FormatError,
     _coerce,
     parse_scalar,
@@ -57,9 +58,10 @@ class AmbiguousType(LookupError):
 
 def intermediate(r: int, ell: int, k: int) -> Arrangement:
     """k coordinate hyperplanes plus all ker(x_i - z^m x_j), z = zeta_r."""
-    if r < 2 or ell < 2 or not 0 <= k <= ell:
+    if not 2 <= r <= MAX_ORDER or ell < 2 or not 0 <= k <= ell:
         raise InvalidParameter(
-            f"need r >= 2, ell >= 2 and 0 <= k <= ell, got r={r}, ell={ell}, k={k}")
+            f"need 2 <= r <= {MAX_ORDER}, ell >= 2 and 0 <= k <= ell,"
+            f" got r={r}, ell={ell}, k={k}")
     z = root_of_unity(r)
     covs = []
     for i in range(k):
@@ -426,9 +428,9 @@ def canonical_induction_order(r: int, ell: int) -> list[Hyperplane]:
     The list starts with the lifted order for intermediate(r, ell-1, ell-3),
     then ker(x_{ell-2}), then ker(x_k - z^j x_ell) with k ascending and j
     ascending inside each k."""
-    if r < 2 or ell < 3:
+    if not 2 <= r <= MAX_ORDER or ell < 3:
         raise InvalidParameter(
-            f"need r >= 2 and ell >= 3, got r={r}, ell={ell}")
+            f"need 2 <= r <= {MAX_ORDER} and ell >= 3, got r={r}, ell={ell}")
     return [Hyperplane(v, r) for v in _ordered_covectors(r, ell)]
 
 

@@ -4,7 +4,10 @@ A value is stored on the power basis 1, z, ..., z^(d-1) of Q(zeta_n),
 where z is a fixed primitive n-th root of unity and d = deg Phi_n.  The
 coefficient vector is kept as integers over a single positive denominator
 with gcd 1, so equal values always have identical representations at a
-given order.  All arithmetic is exact.
+given order.  All arithmetic is exact and runs on integer vectors:
+products reduce modulo Phi_n through a table of powers of z, and an
+inverse is the product of the other Galois conjugates divided by the
+norm, an integer.
 
 The module also hosts the shared recursive-descent parser for the scalar
 and linear-form syntax used by file formats and the command line:
@@ -15,6 +18,7 @@ and the operators + - * ^ with parentheses.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -103,19 +107,9 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _reduce_table(n: int) -> tuple[tuple[int, ...], ...]:
     """z^k reduced to the power basis, for k = d .. 2d-2 (product overflow)."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    cur = [0] * deg
-    cur[deg - 1] = 1
-    rows = []
-    for _ in range(deg - 1):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(deg):
-                cur[j] -= top * phi[j]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    deg = _degree(n)
+    pows = _power_table(n)
+    return tuple(pows[k % n] for k in range(deg, 2 * deg - 1))
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +118,22 @@ def _embed_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     pows = _power_table(n)
     step = n // d
     return tuple(pows[(j * step) % n] for j in range(_degree(d)))
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The units k != 1 mod n; z -> z^k are the other automorphisms."""
+    return tuple(k for k in range(2, n) if math.gcd(k, n) == 1)
+
+
+def _combine(out: list, coeffs, rows) -> tuple[int, ...]:
+    """out + sum_j coeffs[j] * rows[j] as a tuple; out is overwritten."""
+    deg = len(out)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t in range(deg):
+                out[t] += c * row[t]
+    return tuple(out)
 
 
 def _mul_vec(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,15 +146,7 @@ def _mul_vec(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-    out = conv[:deg]
-    red = _reduce_table(n)
-    for k in range(deg, 2 * deg - 1):
-        c = conv[k]
-        if c:
-            row = red[k - deg]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return tuple(out)
+    return _combine(conv[:deg], conv[deg:], _reduce_table(n))
 
 
 def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
@@ -242,15 +244,9 @@ class Cyc:
         if order < 1 or order % self.order:
             raise IncompatibleOrder(
                 f"cannot move a value of order {self.order} to order {order}")
-        table = _embed_table(self.order, order)
-        deg = _degree(order)
-        out = [0] * deg
-        for j, c in enumerate(self.num):
-            if c:
-                row = table[j]
-                for t in range(deg):
-                    out[t] += c * row[t]
-        return Cyc._norm(order, tuple(out), self.den)
+        out = _combine([0] * _degree(order), self.num,
+                       _embed_table(self.order, order))
+        return Cyc._norm(order, out, self.den)
 
     def demote(self) -> "Cyc":
         """The same value expressed in the smallest cyclotomic subfield."""
@@ -283,13 +279,22 @@ class Cyc:
         return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "Cyc":
-        if not any(self.num):
+        """1/x by the Galois norm.  With x = num/den, the product adj of the
+        conjugates sigma_k(num) (z -> z^k) over the units k != 1 mod n has
+        num * adj = N(num), a nonzero integer, so 1/x = den * adj / N."""
+        num, n = self.num, self.order
+        if not any(num):
             raise DivisionByZero("scalar is zero")
-        n = self.order
-        if len(self.num) == 1:
-            return Cyc._norm(n, (self.den,), self.num[0])
-        vec, vden = _inv_vec(n, self.num)
-        return Cyc._norm(n, tuple(c * self.den for c in vec), vden)
+        deg = len(num)
+        if not any(num[1:]):
+            return Cyc._norm(n, (self.den,) + (0,) * (deg - 1), num[0])
+        pows = _power_table(n)
+        adj = None
+        for k in _units(n):
+            conj = _combine([0] * deg, num, [pows[j * k % n] for j in range(deg)])
+            adj = conj if adj is None else _mul_vec(n, adj, conj)
+        norm = _mul_vec(n, num, adj)[0]
+        return Cyc._norm(n, tuple(c * self.den for c in adj), norm)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -299,18 +304,20 @@ class Cyc:
         n = math.lcm(self.order, other.order)
         return self.promote(n), other.promote(n)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, sign being 1 or -1."""
         other = _coerce(other, self.order)
         if other is None:
             return NotImplemented
         a, b = self._align(other)
         da, db = a.den, b.den
         if da == db:
-            num = tuple(x + y for x, y in zip(a.num, b.num))
+            num = tuple(map(operator.add if sign > 0 else operator.sub,
+                            a.num, b.num))
             return Cyc._norm(a.order, num, da)
         g = math.gcd(da, db)
         l = da // g * db
-        fa, fb = l // da, l // db
+        fa, fb = l // da, sign * (l // db)
         num = tuple(x * fa + y * fb for x, y in zip(a.num, b.num))
         return Cyc._norm(a.order, num, l)
 
@@ -320,16 +327,13 @@ class Cyc:
         return Cyc._make(self.order, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other, self.order)
-        if other is None:
-            return NotImplemented
-        return self.__add__(-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other, self.order)
         if other is None:
             return NotImplemented
-        return other.__add__(-self)
+        return other.__add__(self, -1)
 
     def __mul__(self, other):
         other = _coerce(other, self.order)
@@ -449,68 +453,6 @@ def zero(order: int = 1) -> Cyc:
 
 def one(order: int = 1) -> Cyc:
     return Cyc._make(order, _power_table(order)[0], 1)
-
-
-# -- polynomial helpers over Fraction, used only for inversion ----------
-
-def _pdeg(p):
-    d = len(p) - 1
-    while d >= 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _pdivmod(a, b):
-    db = _pdeg(b)
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[db]
-    for k in range(_pdeg(r) - db, -1, -1):
-        c = r[k + db] / lead
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                r[k + j] -= c * b[j]
-    return q, r
-
-
-def _inv_vec(n: int, num: tuple[int, ...]):
-    """Integer vector and denominator of the inverse of num modulo Phi_n."""
-    a = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    b = [Fraction(c) for c in num]
-    sa, sb = [Fraction(0)], [Fraction(1)]
-    while _pdeg(b) > 0:
-        q, r = _pdivmod(a, b)
-        a, b = b, r
-        sa, sb = sb, _psub(sa, _pmul(q, sb))
-    g = b[0]
-    if not g:
-        raise ArithmeticError("polynomial not invertible")
-    inv = [c / g for c in sb]
-    deg = _degree(n)
-    inv += [Fraction(0)] * (deg - len(inv))
-    scale = math.lcm(*(c.denominator for c in inv[:deg]))
-    return [int(c * scale) for c in inv[:deg]], scale
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # -- parser ----------------------------------------------------------------

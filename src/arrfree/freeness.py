@@ -62,16 +62,7 @@ def check_triple(exp_whole, exp_deleted, exp_restriction) -> bool:
         raise ShapeError(
             f"need lengths n, n, n-1; got {len(whole)}, {len(deleted)},"
             f" {len(restriction)}")
-    gone = Counter(whole) - Counter(deleted)
-    came = Counter(deleted) - Counter(whole)
-    if sum(gone.values()) != 1 or sum(came.values()) != 1:
-        return False
-    (b,) = gone
-    if came != Counter({b - 1: 1}):
-        return False
-    rest = Counter(whole)
-    rest[b] -= 1
-    return +rest == Counter(restriction)
+    return _chain_step(whole, restriction, -1) == deleted
 
 
 def _without_submultiset(exps, sub):
@@ -198,10 +189,12 @@ def _low_rank_chain(dim, atoms):
 
 class _ChainSearch:
     """Memoised addition-chain search on the subarrangements (masks of
-    atoms) of one lattice.  decide(mask) gives (steps, exponents), a step
-    being (atom, exponents before, restriction exponents), or None.  The
-    restriction of B to atom i is, in the lattice contracted at i, the
-    lines through i that keep a second member of B."""
+    atoms) of one lattice.  decide(mask, cand), cand being the roots of
+    the subarrangement's characteristic polynomial or None when it does
+    not split, gives (steps, exponents), a step being (atom, exponents
+    before, restriction exponents), or None.  The restriction of B to
+    atom i is, in the lattice contracted at i, the lines through i that
+    keep a second member of B."""
 
     __slots__ = ("levels", "dim", "memo", "through", "restrictions")
 
@@ -215,14 +208,13 @@ class _ChainSearch:
                 self.through.setdefault(i, []).append(line)
         self.restrictions = {}
 
-    def decide(self, mask):
+    def decide(self, mask, cand):
         hit = self.memo.get(mask, _MISSING)
         if hit is _MISSING:
-            hit = self.memo[mask] = self._search(mask)
+            hit = self.memo[mask] = self._search(mask, cand)
         return hit
 
-    def _search(self, mask):
-        cand = _sub_exponents(self.levels, mask, self.dim)
+    def _search(self, mask, cand):
         if cand is None:
             return None
         if cand.count(0) >= self.dim - 2:
@@ -245,15 +237,17 @@ class _ChainSearch:
             rexp = _sub_exponents(restr.levels, rmask, restr.dim)
             if rexp is None:
                 continue
-            left = _without_submultiset(cand, rexp)
-            if left is None or len(left) != 1 or left[0] < 1:
+            # deletion-restriction: chi(B - H) = chi(B) + chi(B''), so the
+            # deletion's roots are cand with the entry left by rexp lowered
+            dexp = _chain_step(cand, rexp, -1)
+            if dexp is None:
                 continue
-            options.append((rc, i, restr, rmask, rexp))
+            options.append((rc, i, restr, rmask, rexp, dexp))
         options.sort(key=lambda t: t[:2])
-        for rc, i, restr, rmask, rexp in options:
-            if restr.decide(rmask) is None:
+        for rc, i, restr, rmask, rexp, dexp in options:
+            if restr.decide(rmask, rexp) is None:
                 continue
-            child = self.decide(mask & ~(1 << i))
+            child = self.decide(mask & ~(1 << i), dexp)
             if child is None:
                 continue
             csteps, cexps = child
@@ -283,16 +277,16 @@ def is_inductively_free(arr: Arrangement, force: bool = False):
 
 
 def _decide(arr: Arrangement):
+    top = arr.candidate_exponents()
+    if top is None:
+        return NotIF(arr, "non-splitting")
     search = _ChainSearch(arr.intersection_lattice().levels, arr.dim)
-    res = search.decide((1 << len(arr)) - 1)
+    res = search.decide((1 << len(arr)) - 1, top)
     if res is not None:
         steps = [InductionStep(arr.hyperplanes[i], before, rexp)
                  for i, before, rexp in res[0]]
         return InductionCertificate(Arrangement(arr.dim, (), arr.order),
                                     steps, res[1])
-    top = arr.candidate_exponents()
-    if top is None:
-        return NotIF(arr, "non-splitting")
     level = None
     if arr.rank() >= 4:
         level = necessary_condition_counts(arr, exponents=top).death_level
@@ -746,5 +740,7 @@ def hereditarily_inductively_free(arr: Arrangement,
             # the center, the last flat, holds every hyperplane
             contracted = _contract(levels, mask, rk)
             search = _ChainSearch(contracted, rest_dim)
-            verdicts[mask] = search.decide(contracted[-1][0]) is not None
+            center = contracted[-1][0]
+            cand = _sub_exponents(contracted, center, rest_dim)
+            verdicts[mask] = search.decide(center, cand) is not None
     return HereditaryReport(all(verdicts.values()), verdicts, arr)

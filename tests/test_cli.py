@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import arrfree
+from arrfree import catalog
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
 from arrfree.cyclotomic import MAX_ORDER
@@ -148,6 +149,29 @@ def test_zeta_order_above_the_cap_is_a_parse_error(capsys, tmp_path):
                  ("count-nec", str(arr)), ("verify-table", str(tbl))):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 3 and out == "" and "above the cap" in err, argv
+
+
+def test_root_order_above_the_cap_is_a_usage_error(capsys, tmp_path,
+                                                   monkeypatch):
+    path = build(capsys, tmp_path, "a.arr",
+                 "--family", "intermediate", "--r", "3", "--ell", "3",
+                 "--k", "1")
+
+    def refuse(*args):
+        raise AssertionError("a root of unity was built")
+
+    # one above the cap: rejected before any root of unity is built
+    monkeypatch.setattr(catalog, "root_of_unity", refuse)
+    r = str(MAX_ORDER + 1)
+    out = tmp_path / "big.arr"
+    for argv in (("build", "--family", "intermediate", "--r", r, "--ell", "2",
+                  "--k", "0", "--out", str(out)),
+                 ("classify", "--r", r, "--max-ell", "3"),
+                 ("induce", path, "--order", "canonical", "--r", r,
+                  "--ell", "3")):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and f"r <= {MAX_ORDER}" in err, argv
+    assert not out.exists()
 
 
 def test_verify_table(capsys, tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from arrfree import cyclotomic
 from arrfree.cyclotomic import (
     Cyc,
     DivisionByZero,
@@ -197,6 +198,8 @@ def _random_value(rng: random.Random, order: int) -> Cyc:
 
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+# fields up to degree 40, for the inverse and subtraction checks only
+WIDE_ORDERS = [15, 16, 20, 24, 30, 40, 41, 60]
 
 
 def test_field_axioms_fuzz():
@@ -215,6 +218,42 @@ def test_field_axioms_fuzz():
         if b:
             assert (a / b) * b == a
             assert b * b.inverse() == 1
+    _inverse_and_sub_checks(random.Random(20261018))
+
+
+def _inverse_and_sub_checks(rng):
+    """Subtraction against adding the negation, across mixed orders, and
+    inverses of random, rational and root-of-unity values.  x * y = 1
+    determines y, so no second inverse is needed as an oracle."""
+    for n in ORDERS + WIDE_ORDERS:
+        for _ in range(4):
+            a = _random_value(rng, n)
+            b = _random_value(rng, rng.choice(ORDERS))
+            for x, y in ((a, b), (b, a), (1, a), (a, 1)):
+                assert x - y == x + (-y)
+            for v in (a, b):
+                if v:
+                    assert v * v.inverse() == 1
+                    assert v.inverse().inverse() == v
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        r = Cyc(n, q)
+        assert r.inverse() == 1 / q and r * r.inverse() == 1
+        for k in range(n):
+            assert root_of_unity(n, k).inverse() == root_of_unity(n, n - k)
+
+
+def test_broken_inverse_kernels_are_caught(monkeypatch):
+    units = cyclotomic._units
+    broken = (
+        # one conjugate dropped, where there is more than one
+        lambda n: units(n)[1:] or units(n),
+        # every k in 2..n-1, units or not
+        lambda n: tuple(range(2, n)),
+    )
+    for variant in broken:
+        monkeypatch.setattr(cyclotomic, "_units", variant)
+        with pytest.raises((AssertionError, DivisionByZero)):
+            _inverse_and_sub_checks(random.Random(20261018))
 
 
 def test_promote_demote_roundtrip_fuzz():

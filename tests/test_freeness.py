@@ -12,6 +12,7 @@ from arrfree.arrangement import (
     _bits,
     _charpoly,
     _contract,
+    _sub_exponents,
     _sub_levels,
 )
 from arrfree.catalog import (
@@ -20,6 +21,7 @@ from arrfree.catalog import (
     intermediate,
     restriction_by_type,
 )
+from arrfree import freeness
 from arrfree.cyclotomic import FormatError
 from arrfree.freeness import (
     InductionCertificate,
@@ -32,6 +34,7 @@ from arrfree.freeness import (
     RecursionWitness,
     ShapeError,
     StaleCertificate,
+    _ChainSearch,
     _chain_step,
     _decide,
     _without_submultiset,
@@ -554,6 +557,10 @@ def _flat_of(arr, mask):
 
 
 def test_bitmask_search_matches_exact_search():
+    _check_search_against_exact()
+
+
+def _check_search_against_exact():
     cache = {}
     seen = Counter()
     for arr in _oracle_inputs():
@@ -571,6 +578,40 @@ def test_bitmask_search_matches_exact_search():
     # the inputs reach every kind of verdict
     assert set(seen) == {"free", "low-rank", "non-splitting", "exhausted",
                          "census"}, seen
+
+
+def test_passed_down_exponents_match_the_lattice(monkeypatch):
+    # every node's roots, read off its parent by deletion-restriction,
+    # equal the Moebius roots of its own subarrangement
+    search = _ChainSearch._search
+    nodes = []
+
+    def checked(self, mask, cand):
+        assert cand == _sub_exponents(self.levels, mask, self.dim)
+        nodes.append(mask)
+        return search(self, mask, cand)
+
+    monkeypatch.setattr(_ChainSearch, "_search", checked)
+    for arr in _oracle_inputs():
+        _decide(arr)
+        hereditarily_inductively_free(arr)
+    res = _decide(restriction_by_type(group("G33"), "A1"))
+    assert not res and res.explored == 517
+    assert len(nodes) > 517
+
+
+def test_broken_deletion_exponents_are_caught(monkeypatch):
+    step = freeness._chain_step
+    broken = (
+        # the deleted entry raised instead of lowered
+        lambda e, r, d=1: step(e, r, 1 if d == -1 else d),
+        # the parent's roots passed down unchanged
+        lambda e, r, d=1: e if d == -1 and step(e, r, d) else step(e, r, d),
+    )
+    for variant in broken:
+        monkeypatch.setattr(freeness, "_chain_step", variant)
+        with pytest.raises(AssertionError):
+            _check_search_against_exact()
 
 
 def test_subarrangement_and_restriction_lattices_match_exact():
