@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from itertools import combinations
 
 from arrfree.cyclotomic import (
@@ -57,16 +58,12 @@ _PRIMITIVE = 53
 # coordinates f, for these bases b
 _PROBE_BASES = (3, 5)
 
-_mod_root_cache: dict[int, int | None] = {}
 
-
+@lru_cache(maxsize=None)
 def _mod_root(order: int):
-    r = _mod_root_cache.get(order, 0)
-    if r == 0:
-        r = (pow(_PRIMITIVE, (_P - 1) // order, _P)
-             if (_P - 1) % order == 0 else None)
-        _mod_root_cache[order] = r
-    return r
+    if (_P - 1) % order:
+        return None
+    return pow(_PRIMITIVE, (_P - 1) // order, _P)
 
 
 def _mod_vector(vec, root: int):
@@ -261,7 +258,7 @@ class Arrangement:
     """A finite set of linear hyperplanes in a fixed dimension over Q(zeta_n)."""
 
     __slots__ = ("dim", "order", "hyperplanes", "_index", "_lattice",
-                 "_rank", "_hash", "_partial")
+                 "_rank", "_partial")
 
     def __init__(self, dim: int, hyperplanes=(), order: int = 1):
         if dim < 1:
@@ -285,7 +282,6 @@ class Arrangement:
         self.order = order
         self._lattice = None
         self._rank = None
-        self._hash = None
         self._partial = {0: ((0,),)}
 
     # -- basics ----------------------------------------------------------
@@ -316,9 +312,7 @@ class Arrangement:
         return a == b
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.hyperplanes)))
-        return self._hash
+        return hash((self.dim, frozenset(self.hyperplanes)))
 
     def __repr__(self):
         return (f"Arrangement(dim={self.dim}, order={self.order}, "
@@ -355,43 +349,41 @@ class Arrangement:
 
     def restricted(self, target) -> "Arrangement":
         """The arrangement induced on a hyperplane or on a flat."""
-        known_flat = False
         if isinstance(target, Flat):
             flat = target
         else:
             if not isinstance(target, Hyperplane):
                 target = Hyperplane(target, self.order)
-            known_flat = target in self
             flat = Flat.from_covectors([target], self.dim, self.order)
+            # the rank-1 flats are exactly the member hyperplanes
+            if target not in self:
+                raise NotAFlat("target is not an intersection of hyperplanes"
+                               " of the arrangement")
         if flat.dim != self.dim:
             raise NotAFlat("flat dimension does not match the arrangement")
         if flat.rank == 0:
             return self
-        if not known_flat:
-            # membership in the lattice: the hyperplanes through the flat
-            # must span its full annihilator
-            through = [list(h.coeffs) for h in self.hyperplanes
-                       if flat.contains_flat_of(h)]
-            span, _ = _rref(through)
-            if len(span) != flat.rank:
-                raise NotAFlat("target is not an intersection of hyperplanes"
-                               " of the arrangement")
-        new_dim = self.dim - flat.rank
-        if new_dim < 1:
-            raise ZeroDimensional("restriction would have dimension zero")
         order = math.lcm(self.order, flat.order)
-        rows = [[c.promote(order) for c in r] for r in flat.rows] \
-            if order != flat.order else flat.rows
-        taken = set(flat.pivots)
-        free = [c for c in range(self.dim) if c not in taken]
-        covs = []
+        rows = [[c.promote(order) for c in r] for r in flat.rows]
+        free = [c for c in range(self.dim) if c not in flat.pivots]
+        covs, through = [], []
         for h in self.hyperplanes:
-            vec = _reduce([c.promote(order) for c in h.coeffs],
-                          rows, flat.pivots)
-            sub = [vec[c] for c in free]
+            vec = [c.promote(order) for c in h.coeffs]
+            red = _reduce(vec, rows, flat.pivots)
+            sub = [red[c] for c in free]
             if any(sub):
                 covs.append(sub)
-        return Arrangement(new_dim, covs, order)
+            else:
+                through.append(vec)
+        # membership in the lattice: the hyperplanes through the flat must
+        # span its annihilator, which one of them does at rank 1
+        if not through or (flat.rank > 1
+                           and len(_rref(through)[0]) != flat.rank):
+            raise NotAFlat("target is not an intersection of hyperplanes"
+                           " of the arrangement")
+        if flat.rank == self.dim:
+            raise ZeroDimensional("restriction would have dimension zero")
+        return Arrangement(self.dim - flat.rank, covs, order)
 
     def localized(self, flat: Flat) -> "Arrangement":
         """The subarrangement of hyperplanes containing the flat."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from importlib import resources
 
 from arrfree.arrangement import (
@@ -30,6 +31,7 @@ from arrfree.arrangement import (
 )
 from arrfree.cyclotomic import (
     Cyc,
+    MAX_DIM,
     MAX_ORDER,
     FormatError,
     _coerce,
@@ -58,10 +60,10 @@ class AmbiguousType(LookupError):
 
 def intermediate(r: int, ell: int, k: int) -> Arrangement:
     """k coordinate hyperplanes plus all ker(x_i - z^m x_j), z = zeta_r."""
-    if not 2 <= r <= MAX_ORDER or ell < 2 or not 0 <= k <= ell:
+    if not (2 <= r <= MAX_ORDER and 2 <= ell <= MAX_DIM and 0 <= k <= ell):
         raise InvalidParameter(
-            f"need 2 <= r <= {MAX_ORDER}, ell >= 2 and 0 <= k <= ell,"
-            f" got r={r}, ell={ell}, k={k}")
+            f"need 2 <= r <= {MAX_ORDER}, 2 <= ell <= {MAX_DIM} and"
+            f" 0 <= k <= ell, got r={r}, ell={ell}, k={k}")
     z = root_of_unity(r)
     covs = []
     for i in range(k):
@@ -137,8 +139,6 @@ class GroupPresentation:
 _HEADER_RE = re.compile(
     r"group\s+(\S+)\s+dim=(\d+)\s+zeta=(\d+)\s+hyperplanes=(\d+)\s*$")
 
-_catalog_cache: dict[str, GroupPresentation] | None = None
-
 
 def load_groups(text: str) -> dict[str, GroupPresentation]:
     """Parse group presentations from the groups.dat block format."""
@@ -192,12 +192,10 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
     return groups
 
 
+@lru_cache(maxsize=None)
 def _shipped_catalog() -> dict[str, GroupPresentation]:
-    global _catalog_cache
-    if _catalog_cache is None:
-        text = resources.files("arrfree").joinpath("data/groups.dat").read_text()
-        _catalog_cache = load_groups(text)
-    return _catalog_cache
+    text = resources.files("arrfree").joinpath("data/groups.dat").read_text()
+    return load_groups(text)
 
 
 def group(name: str) -> GroupPresentation:
@@ -428,9 +426,10 @@ def canonical_induction_order(r: int, ell: int) -> list[Hyperplane]:
     The list starts with the lifted order for intermediate(r, ell-1, ell-3),
     then ker(x_{ell-2}), then ker(x_k - z^j x_ell) with k ascending and j
     ascending inside each k."""
-    if not 2 <= r <= MAX_ORDER or ell < 3:
+    if not 2 <= r <= MAX_ORDER or not 3 <= ell <= MAX_DIM:
         raise InvalidParameter(
-            f"need 2 <= r <= {MAX_ORDER} and ell >= 3, got r={r}, ell={ell}")
+            f"need 2 <= r <= {MAX_ORDER} and 3 <= ell <= {MAX_DIM},"
+            f" got r={r}, ell={ell}")
     return [Hyperplane(v, r) for v in _ordered_covectors(r, ell)]
 
 

@@ -73,9 +73,14 @@ def _degree(n: int) -> int:
 
 
 # The largest root order a file header may name, so that _power_table(n)
-# holds at most n * phi(n) <= 10^6 integers.  The shipped groups and
-# fixtures use orders up to 15.
+# holds at most n * phi(n) <= 10^6 integers; it also caps a ^ exponent,
+# which costs one product a unit.  Shipped data uses orders up to 15.
 MAX_ORDER = 1000
+# coordinates are the letters a..y (z is the root of unity)
+_LETTERS = "abcdefghijklmnopqrstuvwxy"
+MAX_DIM = len(_LETTERS)
+# parentheses nest at most this deep, at about four stack frames a level
+MAX_NESTING = 100
 
 
 def check_header(dim: int, order: int) -> None:
@@ -84,6 +89,8 @@ def check_header(dim: int, order: int) -> None:
         raise FormatError("dimension and zeta order must be positive")
     if order > MAX_ORDER:
         raise FormatError(f"zeta order {order} is above the cap {MAX_ORDER}")
+    if dim > MAX_DIM:
+        raise FormatError(f"dimension {dim} is above the cap {MAX_DIM}")
 
 
 @lru_cache(maxsize=None)
@@ -459,8 +466,6 @@ def one(order: int = 1) -> Cyc:
 
 _TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z]|[()^*+-]|\S")
 
-_LETTERS = "abcdefghijklmnopqrstuvwxy"
-
 
 def _tokenize(text: str) -> list[str]:
     toks = []
@@ -506,6 +511,7 @@ class _Parser:
     def __init__(self, toks: list[str], order: int, dim: int):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
         self.order = order
         self.dim = dim
 
@@ -552,6 +558,8 @@ class _Parser:
             if t is None or not t.isdigit():
                 raise FormatError("exponent must be a nonnegative integer")
             k = int(t)
+            if k > MAX_ORDER:
+                raise FormatError(f"exponent {k} is above the cap {MAX_ORDER}")
             out = _Lin(one(self.order))
             for _ in range(k):
                 out = out.mul(val)
@@ -563,9 +571,13 @@ class _Parser:
         if t is None:
             raise FormatError("unexpected end of expression")
         if t == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormatError(f"nesting is above the cap {MAX_NESTING}")
             val = self.expr()
             if self.take() != ")":
                 raise FormatError("unbalanced parenthesis")
+            self.depth -= 1
             return val
         if t[0].isdigit():
             if "/" in t:
@@ -596,8 +608,8 @@ def parse_scalar(text: str, order: int) -> Cyc:
 
 def parse_linear(text: str, order: int, dim: int) -> tuple[Cyc, ...]:
     """Parse a homogeneous linear form; returns its coefficient vector."""
-    if not 1 <= dim <= len(_LETTERS):
-        raise FormatError(f"dimension must be between 1 and {len(_LETTERS)}")
+    if not 1 <= dim <= MAX_DIM:
+        raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     lin = _Parser(_tokenize(text), order, dim).parse()
     if lin.const:
         raise FormatError("linear form has a nonzero constant term")

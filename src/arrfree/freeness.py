@@ -7,7 +7,8 @@ exponents of the smaller arrangement.  Such chains depend only on the
 intersection lattice, so the search builds L(A) once, exactly, and then
 works on bitmasks of its flats.  Certificates carry all intermediate
 exponent multisets with them; only replaying a chain, the independent
-check, recomputes restrictions with exact arithmetic.
+check, recomputes restrictions with exact arithmetic.  The module keeps
+no state between calls: every memo lives inside the call that fills it.
 
 Refutations of rank-four arrangements report the level at which the
 breadth-first necessary-condition scan dies; rank-three refutations
@@ -156,22 +157,6 @@ class NotIF:
 # -- the decision procedure --------------------------------------------------
 
 _MISSING = object()
-_VERDICTS: dict = {}
-_CAND_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    """Drop memoized verdicts and exponent candidates."""
-    _VERDICTS.clear()
-    _CAND_CACHE.clear()
-
-
-def _candidate_exponents_cached(arr: Arrangement):
-    hit = _CAND_CACHE.get(arr, _MISSING)
-    if hit is _MISSING:
-        hit = arr.candidate_exponents()
-        _CAND_CACHE[arr] = hit
-    return hit
 
 
 def _low_rank_chain(dim, atoms):
@@ -264,16 +249,11 @@ def is_inductively_free(arr: Arrangement, force: bool = False):
     (falsy).  Arrangements of rank above four are refused unless force
     is set; the exhaustive search there can be very slow.
     """
-    hit = _VERDICTS.get(arr)
-    if hit is not None:
-        return hit
     if arr.rank() > 4 and not force:
         raise RankLimit(
             f"rank {arr.rank()} decision is not guaranteed tractable;"
             " pass force=True to run it anyway")
-    res = _decide(arr)
-    _VERDICTS[arr] = res
-    return res
+    return _decide(arr)
 
 
 def _decide(arr: Arrangement):
@@ -392,43 +372,56 @@ class TableReport:
         return "; ".join(f"row {f.row}: {f.message}" for f in self.failures)
 
 
+def _exact_step(larger, h, exps, delta, memo, claim=None):
+    """Check adding (delta 1) or removing (delta -1) h, a member of larger,
+    exactly.  Returns (restriction, its exponents, the exponents after the
+    step), the restriction None when h is alone in larger, or the message
+    of the first failed check.  memo, made for one chain, maps a
+    restriction's root order and hyperplane keys to its exponents, so no
+    Cyc is hashed."""
+    if len(larger) == 1:
+        restr, rexp = None, (0,) * (larger.dim - 1)
+    else:
+        restr = larger.restricted(h)
+        key = (restr.order, tuple(g.key() for g in restr))
+        rexp = memo.get(key, _MISSING)
+        if rexp is _MISSING:
+            rexp = memo[key] = restr.candidate_exponents()
+    if rexp is None:
+        return (f"restriction of {h.form()} has a non-splitting"
+                " characteristic polynomial")
+    if claim is not None and claim != rexp:
+        return (f"claims restriction exponents {_render_exps(claim)}"
+                f" but recomputation gives {_render_exps(rexp)}")
+    nxt = _chain_step(exps, rexp, delta)
+    if nxt is None:
+        return (f"restriction exponents {_render_exps(rexp)} do not sit"
+                f" inside {_render_exps(exps)} leaving one entry")
+    return restr, rexp, nxt
+
+
 def _replay_chain(dim, order, hyperplanes, claimed=None, final=None):
     exps = (0,) * dim
     arr = Arrangement(dim, (), order)
     steps = []
     failures = []
+    memo = {}
     for n, h in enumerate(hyperplanes, start=1):
-        if claimed is not None:
-            claim_before, claim_restr = claimed[n - 1]
-            if claim_before != exps:
-                failures.append(RowFailure(
-                    n, f"claims exponents {_render_exps(claim_before)} but the"
-                       f" chain reaches {_render_exps(exps)}"))
-                break
+        claim_before, claim_restr = claimed[n - 1] if claimed else (exps, None)
+        if claim_before != exps:
+            failures.append(RowFailure(
+                n, f"claims exponents {_render_exps(claim_before)} but the"
+                   f" chain reaches {_render_exps(exps)}"))
+            break
         if h in arr:
             failures.append(RowFailure(n, f"hyperplane {h.form()} repeated"))
             break
         bigger = arr.with_hyperplane(h)
-        if len(bigger) == 1:
-            rexp = (0,) * (dim - 1)
-        else:
-            rexp = _candidate_exponents_cached(bigger.restricted(h))
-        if rexp is None:
-            failures.append(RowFailure(
-                n, f"restriction of {h.form()} has a non-splitting"
-                   " characteristic polynomial"))
+        step = _exact_step(bigger, h, exps, 1, memo, claim_restr)
+        if isinstance(step, str):
+            failures.append(RowFailure(n, step))
             break
-        if claimed is not None and claim_restr != rexp:
-            failures.append(RowFailure(
-                n, f"claims restriction exponents {_render_exps(claim_restr)}"
-                   f" but recomputation gives {_render_exps(rexp)}"))
-            break
-        nxt = _chain_step(exps, rexp)
-        if nxt is None:
-            failures.append(RowFailure(
-                n, f"restriction exponents {_render_exps(rexp)} do not sit"
-                   f" inside {_render_exps(exps)} leaving one entry"))
-            break
+        _, rexp, nxt = step
         steps.append(InductionStep(h, exps, rexp))
         exps = nxt
         arr = bigger
@@ -444,12 +437,20 @@ def _replay_chain(dim, order, hyperplanes, claimed=None, final=None):
 
 
 def certify_chain(dim, order, hyperplanes) -> TableReport:
-    """Replay an explicit addition order from the empty arrangement."""
+    """Replay an explicit addition order from the empty arrangement; it
+    proves what a verified table does (see verify_induction_table)."""
     return _replay_chain(dim, order, list(hyperplanes))
 
 
 def verify_induction_table(table) -> TableReport:
-    """Replay a claimed addition chain, recomputing every restriction."""
+    """Replay a claimed addition chain, recomputing every restriction.
+
+    Each restriction's exponents are recomputed exactly, but whether the
+    restriction is itself free is not decided, so by Terao's addition
+    theorem a verified chain certifies inductive freeness only when the
+    restrictions have rank <= 2, that is for dim <= 3.  A certificate
+    from is_inductively_free decides every restriction.
+    """
     if isinstance(table, str):
         table = InductionTable.parse(table)
     hyps = [Hyperplane.parse(row.form, table.order, table.dim)
@@ -666,32 +667,25 @@ def verify_recursion_witness(witness: RecursionWitness,
         return _move_fail(0, "base arrangement is not inductively free")
     arr = witness.base
     exps = base_res.exponents
+    memo = {}
     for k, mv in enumerate(witness.moves, start=1):
         h = mv.hyperplane
         if mv.kind == "add":
             if h in arr:
                 return _move_fail(k, f"{h.form()} is already present")
-            nxt_arr = arr.with_hyperplane(h)
-            restr = nxt_arr.restricted(h)
+            larger = nxt_arr = arr.with_hyperplane(h)
             delta = 1
         else:
             if h not in arr:
                 return _move_fail(k, f"{h.form()} is not present")
-            restr = arr.restricted(h)
-            nxt_arr = arr.without_hyperplane(h)
+            larger, nxt_arr = arr, arr.without_hyperplane(h)
             delta = -1
-        rexp = _candidate_exponents_cached(restr)
-        if rexp is None:
-            return _move_fail(
-                k, f"restriction of {h.form()} has a non-splitting"
-                   " characteristic polynomial")
-        nxt_exps = _chain_step(exps, rexp, delta)
-        if nxt_exps is None:
-            return _move_fail(
-                k, f"restriction exponents {_render_exps(rexp)} do not sit"
-                   f" inside {_render_exps(exps)} leaving one entry")
+        step = _exact_step(larger, h, exps, delta, memo)
+        if isinstance(step, str):
+            return _move_fail(k, step)
+        restr, _, nxt_exps = step
         try:
-            certified = is_inductively_free(restr, force=force)
+            certified = restr is None or is_inductively_free(restr, force)
         except RankLimit:
             return _move_fail(
                 k, f"restriction of {h.form()} exceeds the certified rank"

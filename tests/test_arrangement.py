@@ -156,6 +156,12 @@ def test_restriction_error_classes():
     # not an intersection of member hyperplanes
     with pytest.raises(NotAFlat):
         a.restricted(Hyperplane([1, 1, 1]))
+    # {x1 = x2, x3 = 0} is a subspace, but only x1 = x2 passes through it
+    with pytest.raises(NotAFlat):
+        a.restricted(Flat.from_covectors([[1, -1, 0], [0, 0, 1]], 3))
+    # a flat of another dimension is refused before anything else
+    with pytest.raises(NotAFlat, match="dimension"):
+        a.restricted(Flat.from_covectors([[1, 0], [0, 1]], 2))
     # the whole space is a flat of every arrangement
     top = Flat.from_covectors([], 3)
     assert a.restricted(top) is a

@@ -22,7 +22,7 @@ from arrfree.catalog import (
     reflection_arrangement,
     restriction_by_type,
 )
-from arrfree.cyclotomic import root_of_unity
+from arrfree.cyclotomic import MAX_DIM, root_of_unity
 
 G333_TEXT = """
 # monomial test presentation
@@ -78,6 +78,11 @@ def test_intermediate_parameter_bounds():
         intermediate(3, 1, 0)
     with pytest.raises(InvalidParameter):
         intermediate_exponents(3, 3, -1)
+    # one coordinate letter too many: no file could name the result
+    with pytest.raises(InvalidParameter):
+        intermediate(3, MAX_DIM + 1, 0)
+    with pytest.raises(InvalidParameter):
+        canonical_induction_order(3, MAX_DIM + 1)
 
 
 def test_monomial_endpoints_and_divisor_rule():

@@ -14,7 +14,7 @@ import arrfree
 from arrfree import catalog
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
-from arrfree.cyclotomic import MAX_ORDER
+from arrfree.cyclotomic import MAX_DIM, MAX_NESTING, MAX_ORDER
 from arrfree.freeness import InductionTable, verify_induction_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "tables"
@@ -149,6 +149,46 @@ def test_zeta_order_above_the_cap_is_a_parse_error(capsys, tmp_path):
                  ("count-nec", str(arr)), ("verify-table", str(tbl))):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 3 and out == "" and "above the cap" in err, argv
+
+
+def test_parser_caps_are_parse_errors(capsys, tmp_path):
+    # one above each cap, in a covector entry and in a table's form
+    deep = MAX_NESTING + 1
+    for entry in ("(" * deep + "1" + ")" * deep, f"z^{MAX_ORDER + 1}"):
+        arr = tmp_path / "deep.arr"
+        arr.write_text(f"arr v1 dim=2 zeta=3\n1, {entry}\n")
+        tbl = tmp_path / "deep.tbl"
+        tbl.write_text(f"table v1 dim=2 zeta=3\n0,0 | ({entry})*a | 0\n"
+                       "0,1 | |\n")
+        for argv in (("exponents", str(arr)), ("induce", str(arr)),
+                     ("verify-table", str(tbl))):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 3 and out == "", (argv, err)
+            assert "cap" in err, (argv, err)
+
+
+def test_dimension_above_the_cap(capsys, tmp_path):
+    # one coordinate letter too many: a file header is unparseable, and
+    # build refuses before writing a file that no reader accepts
+    dim = MAX_DIM + 1
+    arr = tmp_path / "wide.arr"
+    zeros = ["0"] * (dim - 2)
+    arr.write_text(f"arr v1 dim={dim} zeta=1\n"
+                   + ", ".join(["1", "0"] + zeros) + "\n"
+                   + ", ".join(["0", "1"] + zeros) + "\n")
+    tbl = tmp_path / "wide.tbl"
+    tbl.write_text(f"table v1 dim={dim} zeta=1\n{','.join(['0'] * dim)} | a"
+                   f" | {','.join(['0'] * (dim - 1))}\n")
+    for argv in (("exponents", str(arr)), ("induce", str(arr)),
+                 ("verify-table", str(tbl))):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 3 and out == "" and "above the cap" in err, argv
+    out = tmp_path / "wide_build.arr"
+    code, stdout, err = run(capsys, "build", "--family", "intermediate",
+                            "--r", "3", "--ell", str(dim), "--k", "0",
+                            "--out", str(out))
+    assert code == 2 and stdout == "" and f"ell <= {MAX_DIM}" in err
+    assert not out.exists()
 
 
 def test_root_order_above_the_cap_is_a_usage_error(capsys, tmp_path,

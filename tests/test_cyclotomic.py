@@ -14,6 +14,9 @@ from arrfree.cyclotomic import (
     DivisionByZero,
     FormatError,
     IncompatibleOrder,
+    MAX_NESTING,
+    MAX_ORDER,
+    check_header,
     cyclotomic_polynomial,
     format_linear,
     one,
@@ -157,6 +160,17 @@ def test_parse_rejects_malformed_input():
     for text in bad:
         with pytest.raises(FormatError):
             parse_scalar(text, 4)
+
+
+def test_parse_input_caps():
+    # one above each cap; deeper nesting used to overflow the stack, and
+    # every power costs one product
+    deep = MAX_NESTING + 1
+    for text in ("(" * deep + "1" + ")" * deep, f"z^{MAX_ORDER + 1}"):
+        with pytest.raises(FormatError, match="above the cap"):
+            parse_scalar(text, 3)
+    with pytest.raises(FormatError, match="above the cap"):
+        check_header(26, 1)
 
 
 def test_linear_form_parse_and_render():

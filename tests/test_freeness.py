@@ -139,9 +139,47 @@ def test_rank_limit():
     assert cert and cert.exponents == (1, 1, 1, 1, 1)
 
 
-def test_verdicts_are_cached():
-    arr = intermediate(3, 3, 2)
-    assert is_inductively_free(arr) is is_inductively_free(intermediate(3, 3, 2))
+def _canonical_table(r):
+    rep = certify_chain(6, r, canonical_induction_order(r, 6))
+    return emit_induction_table(intermediate(r, 6, 4), rep.certificate)
+
+
+def _check_replay_memo(monkeypatch, tables):
+    """A replay computes the exponents of each distinct restriction of its
+    chain once, and carries nothing over to the next replay."""
+    calls = []
+    real = Arrangement.candidate_exponents
+
+    def counting(self):
+        calls.append(self)
+        assert len(calls) <= 13, "a restriction's exponents were recomputed"
+        return real(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Arrangement, "candidate_exponents", counting)
+        # intermediate(r, 6, 4): 4 + 15 r rows, all but the first restricted
+        for r in (3, 3, 4):
+            calls.clear()
+            assert verify_induction_table(tables[r])
+            assert len(calls) == 13, (r, len(calls))
+
+
+def test_replay_memo_lives_in_one_call(monkeypatch):
+    tables = {r: _canonical_table(r) for r in (3, 4)}
+    _check_replay_memo(monkeypatch, tables)
+
+    # broken memos: none, one for each row, one shared between calls
+    real = freeness._exact_step
+    shared, by_row = {}, {}
+    for pick in (lambda h: {}, lambda h: by_row.setdefault(h.key(), {}),
+                 lambda h: shared):
+        def step(larger, h, exps, delta, memo, claim=None, pick=pick):
+            return real(larger, h, exps, delta, pick(h), claim)
+
+        with monkeypatch.context() as m:
+            m.setattr(freeness, "_exact_step", step)
+            with pytest.raises(AssertionError):
+                _check_replay_memo(monkeypatch, tables)
 
 
 def test_canonical_chain_pattern():
