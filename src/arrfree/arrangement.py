@@ -292,12 +292,17 @@ class Arrangement:
     def __iter__(self):
         return iter(self.hyperplanes)
 
-    def __contains__(self, h) -> bool:
+    def _find(self, h):
+        """The index of h, or None.  A hyperplane over a subfield is looked
+        up by key; any other is compared with each member."""
         if not isinstance(h, Hyperplane):
             h = Hyperplane(h, self.order)
-        if h.order == self.order:
-            return h.key() in self._index
-        return any(h == g for g in self.hyperplanes)
+        if self.order % h.order == 0:
+            return self._index.get(h.promoted(self.order).key())
+        return next((i for i, g in enumerate(self.hyperplanes) if g == h), None)
+
+    def __contains__(self, h) -> bool:
+        return self._find(h) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Arrangement):
@@ -319,17 +324,10 @@ class Arrangement:
                 f"hyperplanes={len(self)})")
 
     def index_of(self, h) -> int:
-        if not isinstance(h, Hyperplane):
-            h = Hyperplane(h, self.order)
-        if h.order == self.order:
-            i = self._index.get(h.key())
-            if i is not None:
-                return i
-        else:
-            for i, g in enumerate(self.hyperplanes):
-                if g == h:
-                    return i
-        raise NotMember(f"{h!r} is not in the arrangement")
+        i = self._find(h)
+        if i is None:
+            raise NotMember(f"{h!r} is not in the arrangement")
+        return i
 
     def rank(self) -> int:
         if self._rank is None:
@@ -472,8 +470,7 @@ class Arrangement:
                 if not m:
                     raise FormatError(f"bad arrangement header: {raw.strip()!r}")
                 header = line
-                dim, order = int(m.group(1)), int(m.group(2))
-                check_header(dim, order)
+                dim, order = check_header(m.group(1), m.group(2))
                 continue
             entries = [e.strip() for e in line.split(",")]
             if len(entries) != dim:
@@ -743,6 +740,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _permute_mask(mask: int, perm) -> int:
+    """The image of a set of hyperplanes under an index permutation."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << perm[i]
+    return out
+
+
 def _line_size_matrix(m: int, line_masks):
     mat = [[0] * m for _ in range(m)]
     for mask in line_masks:
@@ -785,16 +790,8 @@ def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
 
     def assign(pos: int) -> bool:
         if pos == m:
-            for k in range(2, la.rank + 1):
-                mapped = set()
-                for mask in la.levels[k]:
-                    img = 0
-                    for i in _bits(mask):
-                        img |= 1 << sigma[i]
-                    mapped.add(img)
-                if mapped != target_sets[k]:
-                    return False
-            return True
+            return all({_permute_mask(mask, sigma) for mask in la.levels[k]}
+                       == target_sets[k] for k in range(2, la.rank + 1))
         i = order[pos]
         for x in by_color.get(cola[i], ()):
             if used[x]:

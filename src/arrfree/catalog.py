@@ -15,7 +15,6 @@ characteristic polynomial, which also fix its rank and its size.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 from importlib import resources
@@ -25,7 +24,7 @@ from arrfree.arrangement import (
     Flat,
     Hyperplane,
     RankLimit,
-    _bits,
+    _permute_mask,
     _rref,
     _sub_exponents,
 )
@@ -105,7 +104,7 @@ class GroupPresentation:
     """Named generator matrices for a finite reflection group."""
 
     __slots__ = ("name", "dim", "order", "expected", "generators",
-                 "_arrangement")
+                 "_arrangement", "_permutations")
 
     def __init__(self, name: str, dim: int, order: int, expected: int,
                  generators):
@@ -130,6 +129,7 @@ class GroupPresentation:
         self.expected = expected
         self.generators = tuple(gens)
         self._arrangement = None
+        self._permutations = None
 
     def __repr__(self):
         return (f"GroupPresentation({self.name}, dim={self.dim}, "
@@ -243,7 +243,8 @@ def _transform(h: Hyperplane, mat, order: int) -> Hyperplane:
 
 
 def reflection_arrangement(g) -> Arrangement:
-    """Mirrors of the group: orbit closure of the generator mirrors."""
+    """Mirrors of the group: orbit closure of the generator mirrors; also
+    records each generator as a permutation of them in g._permutations."""
     if isinstance(g, str):
         g = group(g)
     if g._arrangement is not None:
@@ -256,12 +257,14 @@ def reflection_arrangement(g) -> Arrangement:
     if not seeds:
         raise CatalogDataError(f"{g.name}: no generator acts as a reflection")
     seen = {h.key(): h for h in seeds}
+    # images[i][key]: generator i's image of the mirror with that key
+    images = [{} for _ in g.generators]
     frontier = list(seen.values())
     while frontier:
         fresh = []
         for h in frontier:
-            for mat in g.generators:
-                img = _transform(h, mat, g.order)
+            for mat, image in zip(g.generators, images):
+                img = image[h.key()] = _transform(h, mat, g.order)
                 key = img.key()
                 if key not in seen:
                     if len(seen) >= g.expected:
@@ -276,19 +279,11 @@ def reflection_arrangement(g) -> Arrangement:
             f"{g.name}: mirror closure stopped at {len(seen)}, expected "
             f"{g.expected}")
     arr = Arrangement(g.dim, seen.values(), g.order)
+    g._permutations = tuple(
+        tuple(arr.index_of(image[h.key()]) for h in arr.hyperplanes)
+        for image in images)
     g._arrangement = arr
     return arr
-
-
-def _generator_permutations(g: GroupPresentation,
-                            arr: Arrangement) -> list[tuple[int, ...]]:
-    """Each generator as a permutation of the hyperplane indices."""
-    perms = []
-    for mat in g.generators:
-        perm = tuple(arr.index_of(_transform(h, mat, arr.order))
-                     for h in arr.hyperplanes)
-        perms.append(perm)
-    return perms
 
 
 # -- restrictions addressed by localization type ---------------------------------
@@ -367,13 +362,6 @@ class FlatOrbitLabel:
                 f"count={self.count}, orbit_size={self.orbit_size})")
 
 
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
-    return out
-
-
 def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     """Orbits of the codim-flats under the group, one label per orbit."""
     if isinstance(g, str):
@@ -386,7 +374,7 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
         raise RankLimit(f"flat orbits are computed up to codimension 3, "
                         f"got {codim}")
     levels, bases = arr.partial_levels(codim)
-    perms = _generator_permutations(g, arr)
+    perms = g._permutations
     unseen = set(levels[codim] if len(levels) > codim else ())
     labels = []
     while unseen:

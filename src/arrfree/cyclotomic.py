@@ -83,14 +83,27 @@ MAX_DIM = len(_LETTERS)
 MAX_NESTING = 100
 
 
-def check_header(dim: int, order: int) -> None:
-    """Reject a file header whose dimension or root order is out of range."""
+def _read_int(digits: str) -> int:
+    """int(digits), or a FormatError where int() refuses the digits: more
+    than sys.get_int_max_str_digits() of them, or one such as '²'."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError(f"cannot read the number {digits[:20]}"
+                          f"{'...' if len(digits) > 20 else ''}") from None
+
+
+def check_header(dim: str, order: str) -> tuple[int, int]:
+    """The dimension and root order of a file header, read from their digit
+    strings; rejects them when out of range."""
+    dim, order = _read_int(dim), _read_int(order)
     if dim < 1 or order < 1:
         raise FormatError("dimension and zeta order must be positive")
     if order > MAX_ORDER:
         raise FormatError(f"zeta order {order} is above the cap {MAX_ORDER}")
     if dim > MAX_DIM:
         raise FormatError(f"dimension {dim} is above the cap {MAX_DIM}")
+    return dim, order
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +156,21 @@ def _combine(out: list, coeffs, rows) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _conjugate(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The image of num under the automorphism z -> z^k of Q(zeta_n)."""
+    pows = _power_table(n)
+    return _combine([0] * len(num), num,
+                    [pows[j * k % n] for j in range(len(num))])
+
+
+@lru_cache(maxsize=None)
+def _ramanujan(n: int) -> tuple[int, ...]:
+    """Tr(z^s) from Q(zeta_n) to Q, the Ramanujan sum c_n(s), for s < n."""
+    pows = _power_table(n)
+    units = (1,) + _units(n)
+    return tuple(sum(pows[s * k % n][0] for k in units) for s in range(n))
+
+
 def _mul_vec(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     deg = len(a)
     if deg == 1:
@@ -174,40 +202,10 @@ def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     return num, den
 
 
-def _solve_exact(rows, target):
-    """Rational x with sum x_i rows[i] = target, or None if unsolvable."""
-    m = len(rows)
-    ncol = len(target)
-    aug = [[Fraction(rows[i][c]) for i in range(m)] + [Fraction(target[c])]
-           for c in range(ncol)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        pr = next((i for i in range(r, ncol) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(ncol):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, ncol):
-        if aug[i][m]:
-            return None
-    x = [Fraction(0)] * m
-    for idx, col in enumerate(pivots):
-        x[col] = aug[idx][m]
-    return x
-
-
 class Cyc:
     """An exact element of Q(zeta_order)."""
 
-    __slots__ = ("order", "num", "den", "_hash", "_min")
+    __slots__ = ("order", "num", "den", "_hash")
 
     def __init__(self, order: int, coeffs=0, den: int = 1):
         if order < 1:
@@ -226,7 +224,6 @@ class Cyc:
         self.num, self.den = _normalize(num, scale)
         self.order = order
         self._hash = None
-        self._min = None
 
     # fast internal constructor, trusts its arguments
     @staticmethod
@@ -236,7 +233,6 @@ class Cyc:
         self.num = num
         self.den = den
         self._hash = None
-        self._min = None
         return self
 
     @staticmethod
@@ -254,27 +250,6 @@ class Cyc:
         out = _combine([0] * _degree(order), self.num,
                        _embed_table(self.order, order))
         return Cyc._norm(order, out, self.den)
-
-    def demote(self) -> "Cyc":
-        """The same value expressed in the smallest cyclotomic subfield."""
-        if self._min is not None:
-            return self._min
-        n = self.order
-        best = self
-        if not any(self.num):
-            best = _ZERO1
-        elif n > 1:
-            for d in _divisors(n)[:-1]:
-                x = _solve_exact(_embed_table(d, n), self.num)
-                if x is None:
-                    continue
-                scale = math.lcm(*(v.denominator for v in x))
-                num = tuple(int(v * scale) for v in x)
-                best = Cyc._norm(d, num, self.den * scale)
-                break
-        self._min = best
-        best._min = best
-        return best
 
     @property
     def is_rational(self) -> bool:
@@ -295,10 +270,9 @@ class Cyc:
         deg = len(num)
         if not any(num[1:]):
             return Cyc._norm(n, (self.den,) + (0,) * (deg - 1), num[0])
-        pows = _power_table(n)
         adj = None
         for k in _units(n):
-            conj = _combine([0] * deg, num, [pows[j * k % n] for j in range(deg)])
+            conj = _conjugate(n, num, k)
             adj = conj if adj is None else _mul_vec(n, adj, conj)
         norm = _mul_vec(n, num, adj)[0]
         return Cyc._norm(n, tuple(c * self.den for c in adj), norm)
@@ -391,13 +365,32 @@ class Cyc:
         a, b = self._align(other)
         return a.num == b.num and a.den == b.den
 
+    def _conductor(self) -> int:
+        """The least d | n with this value in Q(zeta_d): no z -> z^k with
+        k a unit and k = 1 mod d moves it."""
+        n, num = self.order, self.num
+        return next(d for d in range(1, n + 1) if n % d == 0 and all(
+            _conjugate(n, num, k) == num
+            for k in _units(n) if (k - 1) % d == 0))
+
     def __hash__(self):
+        """A rational x hashes as its Fraction, any other x as its conductor
+        d and the traces Tr(x zeta_d^-j) / phi(n), j < phi(d), zeta_d =
+        z^(n/d).  Tr / phi(n) is the same in every field holding x, and the
+        trace form is nondegenerate, so the key is the same at every order
+        and tells apart the values of Q(zeta_d)."""
         if self._hash is None:
-            m = self.demote()
-            if m.order == 1:
-                self._hash = hash(Fraction(m.num[0], m.den))
+            n, num = self.order, self.num
+            if not any(num[1:]):
+                self._hash = hash(Fraction(num[0], self.den))
             else:
-                self._hash = hash((m.order, m.num, m.den))
+                d = self._conductor()
+                c, step = _ramanujan(n), n // d
+                traces = tuple(
+                    sum(a * c[(i - j * step) % n] for i, a in enumerate(num))
+                    for j in range(_degree(d)))
+                phi = len(num)
+                self._hash = hash((d, *_normalize(traces, self.den * phi)))
         return self._hash
 
     # -- rendering -----------------------------------------------------
@@ -415,14 +408,8 @@ class Cyc:
             else:
                 sym = "z" if k == 1 else f"z^{k}"
                 body = sym if abs(q) == 1 else f"{mag}*{sym}"
-            parts.append(("-" if q < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        out = [body if sign == "+" else "-" + body]
-        for sign, body in parts[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+            parts.append("-" + body if q < 0 else body)
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"Cyc(order={self.order}, value='{self}')"
@@ -439,12 +426,12 @@ def _coerce(x, order: int):
     return None
 
 
-_ZERO1 = Cyc._make(1, (0,), 1)
-
-
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+def _signed_sum(terms) -> str:
+    """Join terms, each with an optional leading "-", as a signed sum."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}"
+                              for t in terms[1:])
 
 
 def root_of_unity(order: int, power: int = 1) -> Cyc:
@@ -557,7 +544,7 @@ class _Parser:
             t = self.take()
             if t is None or not t.isdigit():
                 raise FormatError("exponent must be a nonnegative integer")
-            k = int(t)
+            k = _read_int(t)
             if k > MAX_ORDER:
                 raise FormatError(f"exponent {k} is above the cap {MAX_ORDER}")
             out = _Lin(one(self.order))
@@ -580,14 +567,11 @@ class _Parser:
             self.depth -= 1
             return val
         if t[0].isdigit():
-            if "/" in t:
-                p, q = t.split("/")
-                if int(q) == 0:
-                    raise FormatError("zero denominator in literal")
-                c = Fraction(int(p), int(q))
-            else:
-                c = Fraction(int(t))
-            return _Lin(_coerce(c, self.order))
+            p, _, q = t.partition("/")
+            p, q = _read_int(p), _read_int(q or "1")
+            if q == 0:
+                raise FormatError("zero denominator in literal")
+            return _Lin(_coerce(Fraction(p, q), self.order))
         if t == "z":
             return _Lin(root_of_unity(self.order))
         if t in _LETTERS:
@@ -632,14 +616,5 @@ def format_linear(coeffs) -> str:
             body = f"-{_LETTERS[i]}"
         else:
             body = f"{s}*{_LETTERS[i]}"
-        if body.startswith("-"):
-            parts.append(("-", body[1:]))
-        else:
-            parts.append(("+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = [body if sign == "+" else "-" + body]
-    for sign, body in parts[1:]:
-        out.append(f" {sign} {body}")
-    return "".join(out)
+        parts.append(body)
+    return _signed_sum(parts)

@@ -312,8 +312,7 @@ class InductionTable:
                 m = _re.fullmatch(r"table v1 dim=(\d+) zeta=(\d+)", line)
                 if not m:
                     raise FormatError(f"line {ln}: expected a 'table v1' header")
-                dim, order = int(m.group(1)), int(m.group(2))
-                check_header(dim, order)
+                dim, order = check_header(m.group(1), m.group(2))
                 continue
             if final is not None:
                 raise FormatError(f"line {ln}: content after the final row")

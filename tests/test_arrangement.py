@@ -119,6 +119,20 @@ def test_arrangement_mixed_orders_promote():
     assert a == b
 
 
+def test_cross_order_membership():
+    w = root_of_unity(3)
+    a = Arrangement(2, [[1, w], [1, 0]])
+    h = Hyperplane([1, w.promote(6)])  # order 6, a field equal to Q(zeta_3)
+    assert h.order == 6 and h in a
+    assert a.index_of(h) == a.index_of(Hyperplane([1, w]))
+    g = Hyperplane([1, 0])  # order 1
+    assert g.order == 1 and g in a
+    assert a.hyperplanes[a.index_of(g)] == g
+    assert Hyperplane([1, 1]) not in a
+    with pytest.raises(NotMember):
+        a.index_of(Hyperplane([1, root_of_unity(6)]))
+
+
 def test_membership_add_delete():
     a = braid_arrangement(3)
     h = Hyperplane([1, -1, 0])

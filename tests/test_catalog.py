@@ -244,6 +244,20 @@ def test_shipped_arrangements_are_generator_stable():
                 assert _transform(h, mat, g.order) in arr
 
 
+def test_closure_records_generator_permutations():
+    # oracle: apply each generator to each mirror again and look it up
+    for name in group_names():
+        g = group(name)
+        arr = reflection_arrangement(g)
+        expected = tuple(
+            tuple(arr.index_of(_transform(h, mat, arr.order))
+                  for h in arr.hyperplanes)
+            for mat in g.generators)
+        assert g._permutations == expected
+        for perm in g._permutations:
+            assert sorted(perm) == list(range(len(arr)))
+
+
 def test_restrictions_of_rank5_and_rank6_groups():
     g33, g34 = group("G33"), group("G34")
     sizes = {

@@ -167,6 +167,26 @@ def test_parser_caps_are_parse_errors(capsys, tmp_path):
             assert "cap" in err, (argv, err)
 
 
+def test_unreadable_numbers_are_parse_errors(capsys, tmp_path):
+    # int() refuses more than 4300 digits by default, and digits such as
+    # '²' that are not decimal
+    big = "1" * 5000
+    files = {
+        "head.arr": f"arr v1 dim={big} zeta=3\n1, 0\n",
+        "head.tbl": f"table v1 dim={big} zeta=3\n0 | a | \n1 | |\n",
+        "form.tbl": f"table v1 dim=2 zeta=3\n0,0 | {big}*a | 0\n0,1 | |\n",
+        "entry.arr": f"arr v1 dim=2 zeta=3\n1, {big}\n",
+        "power.arr": "arr v1 dim=2 zeta=3\n1, z^\u00b2\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        cmd = "verify-table" if name.endswith(".tbl") else "exponents"
+        code, out, err = run(capsys, cmd, str(path), "--json")
+        assert code == 3 and out == "", (name, err)
+        assert err.startswith("error: cannot read the number"), (name, err)
+
+
 def test_dimension_above_the_cap(capsys, tmp_path):
     # one coordinate letter too many: a file header is unparseable, and
     # build refuses before writing a file that no reader accepts

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from arrfree import cyclotomic
+from arrfree.arrangement import Arrangement
+from arrfree.catalog import intermediate, reflection_arrangement
 from arrfree.cyclotomic import (
     Cyc,
     DivisionByZero,
@@ -105,13 +107,14 @@ def test_rational_values_hash_like_fractions():
         root_of_unity(4).as_fraction()
 
 
-def test_demotion_finds_minimal_field():
+def test_conductor_finds_minimal_field():
     v = root_of_unity(12, 4)  # a cube root of unity
-    assert v.demote().order == 3
-    assert root_of_unity(6).demote().order == 3  # z6 = 1 + z3
-    assert root_of_unity(6).demote() == 1 + root_of_unity(3)
-    assert Cyc(8, 5).demote().order == 1
-    assert zero(12).demote().order == 1
+    assert v._conductor() == 3
+    assert root_of_unity(6)._conductor() == 3  # z6 = 1 + z3
+    assert root_of_unity(6) == 1 + root_of_unity(3)
+    assert hash(root_of_unity(6)) == hash(1 + root_of_unity(3))
+    assert Cyc(8, 5)._conductor() == 1
+    assert zero(12)._conductor() == 1
 
 
 def test_multiplicative_order_of_roots():
@@ -212,7 +215,7 @@ def _random_value(rng: random.Random, order: int) -> Cyc:
 
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
-# fields up to degree 40, for the inverse and subtraction checks only
+# fields up to degree 40, for the inverse, subtraction and hash checks only
 WIDE_ORDERS = [15, 16, 20, 24, 30, 40, 41, 60]
 
 
@@ -270,7 +273,7 @@ def test_broken_inverse_kernels_are_caught(monkeypatch):
             _inverse_and_sub_checks(random.Random(20261018))
 
 
-def test_promote_demote_roundtrip_fuzz():
+def test_promote_keeps_value_and_hash_fuzz():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.choice(ORDERS)
@@ -278,9 +281,98 @@ def test_promote_demote_roundtrip_fuzz():
         m = n * rng.choice([1, 2, 3])
         w = v.promote(m)
         assert w == v
-        assert w.demote() == v.demote()
-        assert w.demote().order == v.demote().order
         assert hash(w) == hash(v)
+
+
+def _assert_hash_agrees(a, b):
+    """a == b implies hash(a) == hash(b); a rational value hashes as its
+    Fraction."""
+    if a == b:
+        assert hash(a) == hash(b)
+    for v in (a, b):
+        if v.is_rational:
+            assert hash(v) == hash(v.as_fraction())
+
+
+def _hash_contract_checks(rng: random.Random) -> None:
+    # seeded values, promoted and combined across orders
+    for n in ORDERS + WIDE_ORDERS:
+        for _ in range(3):
+            a = _random_value(rng, n)
+            b = _random_value(rng, rng.choice(ORDERS))
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for x in (a, b, a + b, a * b, a - a + q):
+                y = x.promote(x.order * rng.choice([2, 3, 5]))
+                _assert_hash_agrees(x, y)
+                assert x == y
+            _assert_hash_agrees(a.promote(2 * n) + b, b + a)
+            _assert_hash_agrees(b * a.promote(3 * n), a * b)
+            _assert_hash_agrees(a - a + q, Cyc(b.order, q))
+    # every pair of small values over the subfields of Q(zeta_12); many
+    # are equal across orders, such as z6 and 1 + z3
+    pool = [Cyc(n, [rng.randint(-1, 1) for _ in cyclotomic_polynomial(n)[1:]])
+            for n in (1, 2, 3, 4, 6, 12) for _ in range(25)]
+    pool += [root_of_unity(n, k) for n in (2, 3, 4, 6, 12) for k in range(n)]
+    for a in pool:
+        for b in pool:
+            _assert_hash_agrees(a, b)
+    assert hash(root_of_unity(6)) == hash(1 + root_of_unity(3))
+
+
+def _assert_hyperplane_hashes_distinct() -> None:
+    """Hyperplane hashes of intermediate(15,4,2) and G34, computed on
+    fresh values, are pairwise distinct."""
+    for arr in (intermediate(15, 4, 2), reflection_arrangement("G34")):
+        arr = Arrangement.from_text(arr.to_text())
+        assert len({hash(h) for h in arr}) == len(arr)
+
+
+def test_hash_invariance_fuzz():
+    _hash_contract_checks(random.Random(20261018))
+
+
+def test_hyperplane_hashes_are_distinct():
+    _assert_hyperplane_hashes_distinct()
+
+
+def _trace_only_hash(self):
+    c, n = cyclotomic._ramanujan(self.order), self.order
+    tr = sum(a * c[i] for i, a in enumerate(self.num))
+    return hash(Fraction(tr, self.den * len(self.num)))
+
+
+def _conductor_mod_test(self):
+    # k % d == 1 never tests k when d = 1
+    n, num = self.order, self.num
+    for d in range(1, n):
+        if n % d == 0 and all(cyclotomic._conjugate(n, num, k) == num
+                              for k in cyclotomic._units(n) if k % d == 1):
+            return d
+    return n
+
+
+def _undivided_hash(self):
+    # the traces not divided by phi(n)
+    if self.is_rational:
+        return hash(self.as_fraction())
+    n, d = self.order, self._conductor()
+    c = cyclotomic._ramanujan(n)
+    traces = (sum(a * c[(i - j * n // d) % n] for i, a in enumerate(self.num))
+              for j in range(len(cyclotomic_polynomial(d)) - 1))
+    return hash((d, *(Fraction(t, self.den) for t in traces)))
+
+
+def test_broken_hashes_are_caught(monkeypatch):
+    broken = (("__hash__", _trace_only_hash),
+              ("_conductor", _conductor_mod_test),
+              ("__hash__", _undivided_hash))
+    for name, variant in broken:
+        with monkeypatch.context() as m:
+            m.setattr(Cyc, name, variant)
+            with pytest.raises(AssertionError):
+                test_conductor_finds_minimal_field()
+                _hash_contract_checks(random.Random(20261018))
+                _assert_hyperplane_hashes_distinct()
 
 
 def test_str_roundtrip_fuzz():
