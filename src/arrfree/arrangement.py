@@ -81,22 +81,14 @@ def _mod_vector(vec, root: int):
 
 # -- exact linear algebra over Cyc -------------------------------------------
 
-def _reduce(vec: list, rows, pivots) -> list:
-    """Subtract from vec its projection onto the span of the rref rows."""
+def _reduce(vec, rows, pivots):
+    """Subtract from vec its projection onto the span of the rref rows;
+    vec is any sequence and is left unchanged."""
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
             vec = [a - c * b if b else a for a, b in zip(vec, row)]
     return vec
-
-
-def _rref_extend(rows, pivots, vec):
-    """Insert vec into an rref basis; None if vec is already in the span."""
-    red = _reduce(list(vec), rows, pivots)
-    p = next((i for i, v in enumerate(red) if v), None)
-    if p is None:
-        return None
-    return _rref_insert(rows, pivots, red, p)
 
 
 def _rref_insert(rows, pivots, red, p):
@@ -123,14 +115,20 @@ def _rref_insert(rows, pivots, red, p):
     return new_rows, new_pivots
 
 
-def _rref(vectors):
+def _rref(vectors, rank=None):
+    """The rref basis (rows, pivots) of the span of the vectors.  It is
+    unique, so it does not depend on their order; rank, when known, stops
+    the scan once that many rows are found."""
     rows: list = []
     pivots: list = []
     for vec in vectors:
-        ext = _rref_extend(rows, pivots, vec)
-        if ext is not None:
-            rows, pivots = ext
-    return rows, pivots
+        if len(rows) == rank:
+            break
+        red = _reduce(vec, rows, pivots)
+        p = next((i for i, v in enumerate(red) if v), None)
+        if p is not None:
+            rows, pivots = _rref_insert(rows, pivots, red, p)
+    return tuple(rows), tuple(pivots)
 
 
 # -- hyperplanes and flats ----------------------------------------------------
@@ -224,9 +222,8 @@ class Flat:
                 raise ValueError("covector length does not match dimension")
             order = math.lcm(order, h.order)
             hs.append(h)
-        vecs = [[c.promote(order) for c in h.coeffs] for h in hs]
-        rows, pivots = _rref(vecs)
-        return cls(rows, pivots, dim, order)
+        vecs = ([c.promote(order) for c in h.coeffs] for h in hs)
+        return cls(*_rref(vecs), dim, order)
 
     @property
     def rank(self) -> int:
@@ -331,7 +328,7 @@ class Arrangement:
 
     def rank(self) -> int:
         if self._rank is None:
-            rows, _ = _rref([list(h.coeffs) for h in self.hyperplanes])
+            rows, _ = _rref((h.coeffs for h in self.hyperplanes), self.dim)
             self._rank = len(rows)
         return self._rank
 
@@ -350,13 +347,7 @@ class Arrangement:
         if isinstance(target, Flat):
             flat = target
         else:
-            if not isinstance(target, Hyperplane):
-                target = Hyperplane(target, self.order)
             flat = Flat.from_covectors([target], self.dim, self.order)
-            # the rank-1 flats are exactly the member hyperplanes
-            if target not in self:
-                raise NotAFlat("target is not an intersection of hyperplanes"
-                               " of the arrangement")
         if flat.dim != self.dim:
             raise NotAFlat("flat dimension does not match the arrangement")
         if flat.rank == 0:
@@ -374,7 +365,8 @@ class Arrangement:
             else:
                 through.append(vec)
         # membership in the lattice: the hyperplanes through the flat must
-        # span its annihilator, which one of them does at rank 1
+        # span its annihilator, which one of them does at rank 1; so a
+        # hyperplane target passes exactly when it is a member
         if not through or (flat.rank > 1
                            and len(_rref(through)[0]) != flat.rank):
             raise NotAFlat("target is not an intersection of hyperplanes"
@@ -488,19 +480,6 @@ class Arrangement:
 
 # -- lattice construction -------------------------------------------------------
 
-def _flat_basis(covs, mask: int, rank=None):
-    """The rref basis of the annihilator of the flat mask, from its
-    hyperplanes; rank, when known, stops the scan early.  The rref is
-    unique, so it does not depend on how the flat was found."""
-    rows: list = []
-    pivots: list = []
-    for j in _bits(mask):
-        if len(rows) == rank:
-            break
-        rows, pivots = _rref_extend(rows, pivots, covs[j]) or (rows, pivots)
-    return tuple(rows), tuple(pivots)
-
-
 class _Bases:
     """bases[mask]: the rref basis of the flat mask, computed when read."""
 
@@ -510,7 +489,7 @@ class _Bases:
         self.covs = [h.coeffs for h in arr.hyperplanes]
 
     def __getitem__(self, mask: int):
-        return _flat_basis(self.covs, mask)
+        return _rref(self.covs[j] for j in _bits(mask))
 
 
 def _above(x: int, by_atom) -> int:
@@ -574,7 +553,8 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     limit = arr.dim if max_rank is None else max_rank
     levels = list(levels)
     k = len(levels) - 1
-    current = [(x, *_flat_basis(covs, x, k)) for x in levels[k]]
+    current = [(x, *_rref((covs[j] for j in _bits(x)), k))
+               for x in levels[k]]
     full = (1 << m) - 1
     while current and k < limit:
         k += 1
@@ -598,11 +578,10 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
                 cand = rest if key is None else (groups[key] | anywhere) & rest
                 mask = x | low
                 if cand or generating:
-                    red = _reduce(list(covs[i]), rows, pivots)
+                    red = _reduce(covs[i], rows, pivots)
                     q = next(c for c, v in enumerate(red) if v)
                     for j in _bits(cand):
-                        if _same_line(_reduce(list(covs[j]), rows, pivots),
-                                      red, q):
+                        if _same_line(_reduce(covs[j], rows, pivots), red, q):
                             mask |= 1 << j
                     if generating:
                         nxt.append((mask, *_rref_insert(rows, pivots, red, q)))

@@ -34,6 +34,8 @@ from arrfree.cyclotomic import (
     MAX_ORDER,
     FormatError,
     _coerce,
+    _read_int,
+    check_header,
     parse_scalar,
     root_of_unity,
 )
@@ -117,7 +119,7 @@ class GroupPresentation:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise CatalogDataError(
                     f"{name}: generator is not a {dim}x{dim} matrix")
-            span, _ = _rref([list(r) for r in rows])
+            span, _ = _rref(rows)
             if len(span) != dim:
                 raise CatalogDataError(f"{name}: singular generator matrix")
             gens.append(rows)
@@ -173,7 +175,11 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
         if m:
             close_group()
             name = m.group(1)
-            dim, order, expected = (int(m.group(i)) for i in (2, 3, 4))
+            try:
+                dim, order = check_header(m.group(2), m.group(3))
+                expected = _read_int(m.group(4))
+            except FormatError as exc:
+                raise CatalogDataError(f"{name} line {lineno}: {exc}") from exc
             continue
         if name is None:
             raise CatalogDataError(
@@ -221,7 +227,8 @@ def _mirror_covector(mat, dim: int):
         row = list(mat[i])
         row[i] = row[i] - 1
         diff.append(row)
-    span, _ = _rref(diff)
+    # a second pivot already rules out a reflection
+    span, _ = _rref(diff, 2)
     if len(span) != 1:
         return None
     return span[0]

@@ -38,6 +38,7 @@ from .freeness import (
     NonFreeInput,
     ShapeError,
     StaleCertificate,
+    _read_exps,
     certify_chain,
     emit_induction_table,
     hereditarily_inductively_free,
@@ -66,14 +67,6 @@ def _print(args, payload: dict, lines) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _exponent_list(text: str):
-    try:
-        return tuple(sorted(int(p) for p in text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated integer list, got {text!r}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -314,7 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count-nec",
                        help="level-by-level census of the removal test")
     c.add_argument("file")
-    c.add_argument("--exponents", type=_exponent_list, metavar="B1,B2,...",
+    # argparse names the type in its error message
+    c.register("type", "exponent list", _read_exps)
+    c.add_argument("--exponents", type="exponent list", metavar="B1,B2,...",
                    help="starting exponents (default: computed from the"
                         " characteristic polynomial)")
     c.add_argument("--threads", type=int,

@@ -49,6 +49,11 @@ def _render_exps(exps) -> str:
     return ",".join(str(e) for e in exps)
 
 
+def _read_exps(text: str) -> tuple:
+    """The inverse of _render_exps, so '' is the empty list."""
+    return tuple(sorted(int(p) for p in text.split(","))) if text else ()
+
+
 def check_triple(exp_whole, exp_deleted, exp_restriction) -> bool:
     """Whether three exponent multisets fit an addition-deletion step.
 
@@ -292,13 +297,6 @@ class InductionTable:
         self.rows = tuple(rows)
         self.final = tuple(final)
 
-    @staticmethod
-    def _parse_exps(text, ln):
-        try:
-            return tuple(sorted(int(p) for p in text.split(",")))
-        except ValueError:
-            raise FormatError(f"line {ln}: bad exponent list {text!r}") from None
-
     @classmethod
     def parse(cls, text: str) -> "InductionTable":
         dim = order = None
@@ -319,14 +317,18 @@ class InductionTable:
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 3:
                 raise FormatError(f"line {ln}: expected three '|' columns")
+            if not parts[1] and parts[2]:
+                raise FormatError(
+                    f"line {ln}: the final row carries only exponents")
+            try:
+                before, after = (_read_exps(p) for p in parts[::2])
+            except ValueError:
+                raise FormatError(
+                    f"line {ln}: bad exponent list in {line!r}") from None
             if parts[1]:
-                rows.append(TableRow(cls._parse_exps(parts[0], ln), parts[1],
-                                     cls._parse_exps(parts[2], ln)))
+                rows.append(TableRow(before, parts[1], after))
             else:
-                if parts[2]:
-                    raise FormatError(
-                        f"line {ln}: the final row carries only exponents")
-                final = cls._parse_exps(parts[0], ln)
+                final = before
         if dim is None:
             raise FormatError("missing 'table v1' header")
         if final is None:

@@ -24,7 +24,6 @@ from arrfree.arrangement import (
     _mod_vector,
     _reduce,
     _rref,
-    _rref_extend,
     lattice_isomorphic,
 )
 from arrfree.catalog import group, group_names, reflection_arrangement
@@ -189,6 +188,21 @@ def test_restriction_error_classes():
         b.restricted(origin)
 
 
+def test_restriction_to_members_of_other_orders():
+    w = root_of_unity(3)
+    a = Arrangement(3, [[1, w, 0], [1, 0, 0], [0, 1, -1], [0, 0, 1]], 3)
+    # a member written over the subfield Q restricts like its promotion
+    h = Hyperplane([1, 0, 0])
+    assert h.order == 1 and h in a
+    assert a.restricted(h) == a.restricted(h.promoted(3))
+    assert a.restricted(h) == a.restricted(Flat.from_covectors([h], 3, 3))
+    # a hyperplane over another field is not a member, so not a flat
+    g = Hyperplane([1, root_of_unity(4), 0])
+    assert g not in a
+    with pytest.raises(NotAFlat, match="not an intersection"):
+        a.restricted(g)
+
+
 def test_localization():
     a = braid_arrangement(3)
     center = Flat.from_covectors([[1, -1, 0], [0, 1, -1]], 3)
@@ -210,6 +224,93 @@ def test_product_charpoly_multiplies():
         for j, y in enumerate(cb):
             prod[i + j] += x * y
     assert list(p.characteristic_polynomial()) == prod
+
+
+# -- the one rref routine ---------------------------------------------------
+
+def _random_vectors(rng: random.Random, order: int):
+    """A few vectors over Q(zeta_order), with zero, repeated and dependent
+    ones among them."""
+    z = root_of_unity(order)
+    pool = [0, 0, 1, -1, 2, z ** rng.randrange(order),
+            -(z ** rng.randrange(order)), z ** rng.randrange(order) + 1]
+    dim = rng.randint(2, 4)
+    vs = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            vs.append([Cyc(order, 0)] * dim)
+        elif kind == 1 and vs:
+            vs.append(list(rng.choice(vs)))
+        elif kind == 2 and len(vs) > 1:
+            u, v = rng.sample(vs, 2)
+            c = z ** rng.randrange(order)
+            vs.append([a + c * b for a, b in zip(u, v)])
+        else:
+            vs.append([Cyc(order, 0) + rng.choice(pool) for _ in range(dim)])
+    return dim, vs
+
+
+def _rref_cases():
+    rng = random.Random(2718)
+    return [(order, *_random_vectors(rng, order))
+            for order in (1, 3, 4, 5, 15, 41) for _ in range(8)]
+
+
+def _rref_laws_hold(rref, monkeypatch) -> bool:
+    """Whether rref(vs, k) with k the rank is rref(vs), a permutation of
+    vs gives the same rref, and Arrangement.rank() counts its rows, on
+    every case; rank() runs with rref in place of _rref."""
+    rng = random.Random(31)
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_rref", rref)
+        for order, dim, vs in _rref_cases():
+            rows, pivots = rref(vs)
+            if rref(vs, len(rows)) != (rows, pivots):
+                return False
+            if rref(rng.sample(vs, len(vs))) != (rows, pivots):
+                return False
+            covs = [v for v in vs if any(v)]
+            if covs:
+                arr = Arrangement(dim, covs, order)
+                if arr.rank() != len(rref([h.coeffs for h in arr])[0]):
+                    return False
+    return True
+
+
+def test_rref_stops_at_its_rank_and_is_unique(monkeypatch):
+    assert _rref_laws_hold(_rref, monkeypatch)
+    for _, _, vs in _rref_cases():
+        rows, pivots = _rref(vs)
+        # a basis in rref: ascending pivots, unit pivot columns, no zero row
+        assert list(pivots) == sorted(set(pivots))
+        for row, p in zip(rows, pivots):
+            assert [row[q] for q in pivots] == [int(q == p) for q in pivots]
+            assert not any(row[:p])
+        # and it spans every vector
+        assert all(not any(_reduce(v, rows, pivots)) for v in vs)
+
+
+def test_broken_rref_is_caught(monkeypatch):
+    def stops_early(vectors, rank=None):
+        return _rref(vectors, None if rank is None else rank - 1)
+
+    def inserts_dependent(vectors, rank=None):
+        rows: list = []
+        pivots: list = []
+        for vec in vectors:
+            if len(rows) == rank:
+                break
+            red = _reduce(vec, rows, pivots)
+            if not any(red) and any(vec):
+                red = vec
+            p = next((i for i, v in enumerate(red) if v), None)
+            if p is not None:
+                rows, pivots = arrangement._rref_insert(rows, pivots, red, p)
+        return tuple(rows), tuple(pivots)
+
+    assert not _rref_laws_hold(stops_early, monkeypatch)
+    assert not _rref_laws_hold(inserts_dependent, monkeypatch)
 
 
 # -- lattice and characteristic polynomial ---------------------------------
@@ -369,7 +470,7 @@ def _reference_levels(arr: Arrangement, max_rank=None):
     while current and len(levels) <= limit:
         found: dict = {}
         buckets: dict = {}
-        for xmask, xrows, xpivots, xmrows in current:
+        for xmask, xrows, _, xmrows in current:
             skip = xmask
             for i in range(m):
                 if skip >> i & 1:
@@ -381,8 +482,7 @@ def _reference_levels(arr: Arrangement, max_rank=None):
                     rec = next((found[mk] for mk in buckets.get(key, ())
                                 if cand & ~mk == 0), None)
                 if rec is None:
-                    rows, pivots = _rref_extend(list(xrows), list(xpivots),
-                                                covs[i])
+                    rows, pivots = _rref((*xrows, covs[i]))
                     mrows = mod_rows(rows)
                     mask = flat_mask(rows, pivots, cand, mrows)
                     rec = found.get(mask)

@@ -116,6 +116,20 @@ def test_group_loader_rejects_bad_data():
         load_groups("group X dim=2 zeta=1 hyperplanes=1\n")
 
 
+def test_group_loader_checks_its_header():
+    body = "-1, 0\n0, 1\n"
+    for header, reason in (
+            (f"dim={'2' * 5000} zeta=1 hyperplanes=1", "cannot read"),
+            ("dim=2 zeta=0 hyperplanes=1", "must be positive"),
+            ("dim=2 zeta=1009 hyperplanes=1", "above the cap"),
+            ("dim=26 zeta=1 hyperplanes=1", "above the cap"),
+            (f"dim=2 zeta=1 hyperplanes={'1' * 5000}", "cannot read")):
+        with pytest.raises(CatalogDataError, match=f"X line 2: .*{reason}"):
+            load_groups(f"# comment\ngroup X {header}\n{body}")
+    assert load_groups(f"group X dim=2 zeta=1 hyperplanes=1\n{body}")["X"] \
+        .dim == 2
+
+
 def test_closure_cardinality_gates():
     low = load_groups(G333_TEXT.replace("hyperplanes=9", "hyperplanes=8"))
     with pytest.raises(CatalogDataError, match="exceeds"):

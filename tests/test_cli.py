@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,14 @@ import arrfree
 from arrfree import catalog
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
-from arrfree.cyclotomic import MAX_DIM, MAX_NESTING, MAX_ORDER
+from arrfree.cyclotomic import (
+    MAX_DIM,
+    MAX_NESTING,
+    MAX_ORDER,
+    Cyc,
+    FormatError,
+    root_of_unity,
+)
 from arrfree.freeness import InductionTable, verify_induction_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "tables"
@@ -254,6 +262,58 @@ def test_verify_table(capsys, tmp_path):
         assert code == 3 and out == "" and "must be positive" in err, text
 
 
+def _random_small_arrangement(rng: random.Random) -> Arrangement:
+    dim = rng.randint(1, 3)
+    order = rng.choice([1, 2, 3, 4, 5])
+    z = root_of_unity(order)
+    pool = [0, 0, 1, -1, 2, z, -z, z ** 2 + 1]
+    covs = []
+    while len(covs) < rng.randint(1, 6):
+        v = [Cyc(order, 0) + rng.choice(pool) for _ in range(dim)]
+        if any(v):
+            covs.append(v)
+    return Arrangement(dim, covs, order)
+
+
+def test_texts_and_tables_round_trip(capsys, tmp_path):
+    rng = random.Random(2024)
+    replayed = set()
+    for n in range(40):
+        arr = _random_small_arrangement(rng)
+        text = arr.to_text()
+        assert Arrangement.from_text(text) == arr, text
+        path = tmp_path / f"a{n}.arr"
+        path.write_text(text)
+        code, out, _ = run(capsys, "induce", str(path), "--json")
+        induced = json.loads(out)
+        if code != 0:
+            assert code == 1 and induced["verdict"] == "not-inductively-free"
+            continue
+        table = tmp_path / f"a{n}.tbl"
+        table.write_text(induced["table"])
+        code, out, err = run(capsys, "verify-table", str(table), "--json")
+        assert code == 0, (induced["table"], err)
+        assert json.loads(out)["exponents"] == induced["exponents"]
+        replayed.add(arr.dim)
+    assert replayed == {1, 2, 3}
+
+
+def test_dimension_one_table(capsys, tmp_path):
+    path = tmp_path / "line.arr"
+    path.write_text("arr v1 dim=1 zeta=1\n1\n")
+    code, out, _ = run(capsys, "induce", str(path))
+    assert code == 0
+    # the restriction to the origin has no exponents
+    assert out.splitlines()[1] == "0 | a | "
+    table = InductionTable.parse(out)
+    assert table.rows[0].restriction_exps == () and table.final == (1,)
+    assert table.to_text() == out
+    assert verify_induction_table(table).exponents == (1,)
+    for bad in ("0 | a | x", "0 | a | 1,", ",0 | a | "):
+        with pytest.raises(FormatError, match="line 2: bad exponent list"):
+            InductionTable.parse(f"table v1 dim=1 zeta=1\n{bad}\n1 | |\n")
+
+
 def test_count_nec(capsys, tmp_path):
     boolean = tmp_path / "bool.arr"
     boolean.write_text(Arrangement(
@@ -267,6 +327,11 @@ def test_count_nec(capsys, tmp_path):
     # wrong starting exponents are rejected before the scan
     assert run(capsys, "count-nec", str(boolean),
                "--exponents", "1,1,1,2")[0] == 2
+    # a list that is not one exits 2 with the option and the text named
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "count-nec", str(boolean), "--exponents", "0,1,x")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--exponents" in err and "'0,1,x'" in err
     j1 = run(capsys, "count-nec", str(boolean), "--json", "--threads", "1")
     j2 = run(capsys, "count-nec", str(boolean), "--json", "--threads", "2")
     assert j1[0] == j2[0] == 0 and j1[1] == j2[1]
