@@ -395,9 +395,17 @@ class Arrangement:
     # -- lattice invariants ---------------------------------------------------
 
     def intersection_lattice(self) -> "Lattice":
+        """Every flat by rank.  The top rank r = rank() holds one flat, the
+        centre, which lies in every hyperplane; so the levels are built up
+        to rank r - 1, whose flats generate nothing, and the centre is
+        appended."""
         if self._lattice is None:
-            levels = self._partial[max(self._partial)]
-            self._lattice = Lattice(self, _build_levels(self, None, levels))
+            r = self.rank()
+            levels = self._partial[max(self._partial)][:r]
+            if len(levels) < r:
+                levels = _build_levels(self, r - 1, levels)
+            levels = (*levels, ((1 << len(self)) - 1,))
+            self._lattice = Lattice(self, levels)
         return self._lattice
 
     def line_masks(self) -> tuple[int, ...]:
@@ -616,17 +624,41 @@ class Lattice:
 # -- subarrangements and restrictions on flat masks (levels[k]: rank k) -----
 
 def _charpoly(levels, dim: int) -> tuple[int, ...]:
-    """Characteristic polynomial, constant first, by the Moebius sum over
-    the flats; dim is the dimension of the ambient space."""
+    """Characteristic polynomial, constant first, from the Moebius values
+    of the flats of a whole lattice, whose last level is its centre; dim
+    is the dimension of the ambient space.
+
+    mu(X) is 1, -1 and |X| - 1 at ranks 0, 1 and 2.  At a higher rank k,
+    Weisner's theorem with X's lowest atom a gives mu(X) = -sum mu(Y) over
+    the rank-(k-1) flats Y inside X that miss a: the flats of level k-1
+    whose lowest atom is another atom of X.  The centre takes the value
+    that makes chi(1) = 0."""
     coeffs = [0] * (dim + 1)
-    lower: list = []
-    for k, level in enumerate(levels):
-        new = []
-        for mask in level:
-            mu = -sum(mu2 for m2, mu2 in lower if m2 & mask == m2) if k else 1
-            new.append((mask, mu))
-            coeffs[dim - k] += mu
-        lower.extend(new)
+    coeffs[dim] = 1
+    top = len(levels) - 1
+    mus: list = []
+    for k in range(1, top):
+        level = levels[k]
+        if k < 3:
+            mus = [(x, x.bit_count() - 1 if k == 2 else -1) for x in level]
+        else:
+            by_low: dict = {}
+            for y, mu in mus:
+                by_low.setdefault(y & -y, []).append((y, mu))
+            mus = []
+            for x in level:
+                total = 0
+                rest = x & (x - 1)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    for y, mu in by_low.get(low, ()):
+                        if y & x == y:
+                            total += mu
+                mus.append((x, -total))
+        coeffs[dim - k] = sum(mu for _, mu in mus)
+    if top:
+        coeffs[dim - top] = -sum(coeffs)
     return tuple(coeffs)
 
 

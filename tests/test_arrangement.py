@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -20,10 +22,13 @@ from arrfree.arrangement import (
     _P,
     _bits,
     _build_levels,
+    _charpoly,
+    _contract,
     _mod_root,
     _mod_vector,
     _reduce,
     _rref,
+    _sub_levels,
     lattice_isomorphic,
 )
 from arrfree.catalog import group, group_names, reflection_arrangement
@@ -574,6 +579,41 @@ def test_partial_levels_resume(monkeypatch):
     assert starts == [0, 1, 2, 3]
 
 
+def test_top_rank_is_read_off_rank(monkeypatch):
+    # non-essential (rank below dim), one hyperplane, the empty arrangement
+    for arr in (braid_arrangement(3), braid_arrangement(4),
+                Arrangement(3, [[1, 2, 0]]), Arrangement(3, [])):
+        levels = arr.intersection_lattice().levels
+        assert levels == _build_levels(arr)
+        assert len(levels) == arr.rank() + 1
+    g33 = reflection_arrangement("G33")
+    r = g33.rank()
+    expected = _build_levels(g33)
+    fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
+    fresh.rank()  # its own rref inserts are not the lattice's
+    ranks = []
+    insert = arrangement._rref_insert
+
+    def recording(rows, pivots, red, p):
+        ranks.append(len(rows) + 1)
+        return insert(rows, pivots, red, p)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_rref_insert", recording)
+        assert fresh.intersection_lattice().levels == expected
+    # the basis of each flat below rank r - 1 is built once, by inserting
+    # one hyperplane into a basis one rank lower; no rank-(r-1) flat gets
+    # a basis, since those flats generate only the centre
+    counts = Counter(ranks)
+    assert r - 1 not in counts
+    assert counts == {k: len(expected[k]) for k in range(1, r - 1)}
+    # resumed from a partial build that stops below, at or above the top
+    for k in (r - 1, r, r + 1):
+        fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
+        fresh.partial_levels(k)
+        assert fresh.intersection_lattice().levels == expected
+
+
 def test_probe_is_only_a_filter(monkeypatch):
     cases = _oracle_cases()[::3]
     cases.append(reflection_arrangement("G25"))
@@ -626,6 +666,80 @@ def test_broken_kernels_are_caught(monkeypatch):
                    dict.fromkeys(_bits(rest), 0))
         mp.setattr(arrangement, "_same_line", lambda *args: True)
         assert [_build_levels(arr) for arr in cases] != expected
+
+
+# -- characteristic polynomial against the quadratic Moebius sum ------------
+
+def _reference_charpoly(levels, dim: int) -> tuple[int, ...]:
+    """Characteristic polynomial by the Moebius sum over every lower flat:
+    mu(X) = -sum mu(Y) over all Y strictly below X."""
+    coeffs = [0] * (dim + 1)
+    lower: list = []
+    for k, level in enumerate(levels):
+        new = []
+        for mask in level:
+            mu = -sum(mu2 for m2, mu2 in lower if m2 & mask == m2) if k else 1
+            new.append((mask, mu))
+            coeffs[dim - k] += mu
+        lower.extend(new)
+    return tuple(coeffs)
+
+
+@pytest.fixture(scope="module")
+def charpoly_cases():
+    """(levels, dim) inputs, many of rank 4 or 5, so that the Weisner sum
+    runs at the middle ranks: full lattices, subarrangements and
+    restrictions."""
+    cases = []
+    lattices = {}
+    for name in group_names():
+        if name == "G34":
+            continue
+        arr = reflection_arrangement(name)
+        lattices[name] = (arr.intersection_lattice().levels, arr.dim)
+        cases.append(lattices[name])
+    for arr in _oracle_cases():
+        if arr.dim == 4:
+            cases.append((arr.intersection_lattice().levels, arr.dim))
+    rng = random.Random(5150)
+    for name in ("G29", "G31", "G33"):
+        levels, dim = lattices[name]
+        m = len(levels[1])
+        for _ in range(4):
+            mask = rng.getrandbits(m) | rng.getrandbits(m)
+            cases.append((_sub_levels(levels, mask), dim))
+    levels, dim = lattices["G33"]
+    for k, level in enumerate(levels):
+        for x in level[::max(1, len(level) // 3)]:
+            cases.append((_contract(levels, x, k), dim - k))
+    return cases
+
+
+def _mutant_charpoly(old: str, new: str):
+    """_charpoly with one piece of its source replaced."""
+    src = inspect.getsource(_charpoly)
+    assert old in src
+    namespace = dict(vars(arrangement))
+    exec(src.replace(old, new), namespace)
+    return namespace["_charpoly"]
+
+
+def test_charpoly_matches_moebius_reference(charpoly_cases):
+    assert max(len(levels) for levels, _ in charpoly_cases) == 6
+    for levels, dim in charpoly_cases:
+        assert _charpoly(levels, dim) == _reference_charpoly(levels, dim)
+
+
+def test_broken_charpoly_is_caught(charpoly_cases):
+    broken = (
+        # the Weisner sum over every coatom, those through a included
+        _mutant_charpoly("rest = x & (x - 1)", "rest = x"),
+        # mu = |X| at rank 2
+        _mutant_charpoly("x.bit_count() - 1 if", "x.bit_count() if"),
+    )
+    for charpoly in broken:
+        assert any(charpoly(levels, dim) != _reference_charpoly(levels, dim)
+                   for levels, dim in charpoly_cases)
 
 
 # -- text form ----------------------------------------------------------------

@@ -337,6 +337,19 @@ def test_count_nec(capsys, tmp_path):
     assert j1[0] == j2[0] == 0 and j1[1] == j2[1]
 
 
+def test_count_nec_refutes_g34_a1(capsys, tmp_path):
+    # the paper's rank-5 negative case, with its recorded exponents: the
+    # census of removal orders dies at level 1, since no hyperplane has a
+    # restriction of 85 - b hyperplanes for an exponent b
+    path = build(capsys, tmp_path, "g34_a1.arr",
+                 "--group", "G34", "--restrict", "A1")
+    code, out, _ = run(capsys, "count-nec", path, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exponents"] == [1, 13, 19, 25, 27]
+    assert payload["levels"][-1] == {"n": 1, "N": 0, "exps": []}
+
+
 def test_zero_covector_is_a_parse_error(capsys, tmp_path):
     arr = tmp_path / "zero.arr"
     arr.write_text("arr v1 dim=3 zeta=1\n1, 0, 0\n0, 0, 0\n")
