@@ -54,7 +54,10 @@ IOERR = 3
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _digest(text: str) -> str:

@@ -16,7 +16,6 @@ report how many subarrangements the exhaustive search visited.
 """
 
 import re as _re
-from collections import Counter
 from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
@@ -71,26 +70,34 @@ def check_triple(exp_whole, exp_deleted, exp_restriction) -> bool:
     return _chain_step(whole, restriction, -1) == deleted
 
 
-def _without_submultiset(exps, sub):
-    """What is left of exps after removing sub, or None if sub is not inside."""
-    left = Counter(exps)
-    for v in sub:
-        if left[v] <= 0:
-            return None
-        left[v] -= 1
-    return tuple(sorted((+left).elements()))
-
-
 def _chain_step(exps, restriction_exps, delta=1):
     """Exponents after adding (delta 1) or removing (delta -1) a hyperplane
     whose restriction, taken in the larger arrangement, has the given
-    exponents; None when the shapes do not mesh."""
-    if len(restriction_exps) + 1 != len(exps):
+    exponents; None when the shapes do not mesh.
+
+    Terao's rule: the restriction's exponents are exps less one entry v,
+    v = sum(exps) - sum(restriction_exps), and that entry moves by delta."""
+    v = sum(exps) - sum(restriction_exps)
+    if v + delta < 0 or sorted(restriction_exps + (v,)) != sorted(exps):
         return None
-    rest = _without_submultiset(exps, restriction_exps)
-    if rest is None or len(rest) != 1 or rest[0] + delta < 0:
-        return None
-    return tuple(sorted(restriction_exps + (rest[0] + delta,)))
+    return tuple(sorted(restriction_exps + (v + delta,)))
+
+
+def _removal_moves(ms):
+    """{restriction count: next multiset} for every removal ms allows.
+
+    Removing a hyperplane whose restriction count is rc is allowed when
+    v = sum(ms) - rc is a positive entry of ms; that entry drops by one.
+    This is _chain_step's rule at delta -1, keyed by count, so the census
+    and the chain search prune on the same table.
+    """
+    total = sum(ms)
+    out = {}
+    for v in set(ms):
+        if v >= 1:
+            pos = ms.index(v)
+            out[total - v] = tuple(sorted(ms[:pos] + ms[pos + 1:] + (v - 1,)))
+    return out
 
 
 # -- certificates ------------------------------------------------------------
@@ -210,7 +217,7 @@ class _ChainSearch:
         if cand.count(0) >= self.dim - 2:
             # dim - rank roots are 0: rank <= 2, which always splits
             return _low_rank_chain(self.dim, _bits(mask))
-        admissible = {mask.bit_count() - b for b in set(cand) if b >= 1}
+        moves = _removal_moves(cand)
         options = []
         for i in _bits(mask):
             rmask = 0
@@ -218,8 +225,10 @@ class _ChainSearch:
                 if line & mask & ~(1 << i):
                     rmask |= 1 << j
             rc = rmask.bit_count()
-            if rc not in admissible:
-                continue
+            if rc in moves:
+                options.append((rc, i, rmask))
+        options.sort()
+        for _, i, rmask in options:
             restr = self.restrictions.get(i)
             if restr is None:
                 restr = self.restrictions[i] = _ChainSearch(
@@ -230,12 +239,7 @@ class _ChainSearch:
             # deletion-restriction: chi(B - H) = chi(B) + chi(B''), so the
             # deletion's roots are cand with the entry left by rexp lowered
             dexp = _chain_step(cand, rexp, -1)
-            if dexp is None:
-                continue
-            options.append((rc, i, restr, rmask, rexp, dexp))
-        options.sort(key=lambda t: t[:2])
-        for rc, i, restr, rmask, rexp, dexp in options:
-            if restr.decide(rmask, rexp) is None:
+            if dexp is None or restr.decide(rmask, rexp) is None:
                 continue
             child = self.decide(mask & ~(1 << i), dexp)
             if child is None:
@@ -247,6 +251,13 @@ class _ChainSearch:
         return None
 
 
+def _check_rank(arr: Arrangement, force: bool) -> None:
+    if arr.rank() > 4 and not force:
+        raise RankLimit(
+            f"rank {arr.rank()} decision is not guaranteed tractable;"
+            " pass force=True to run it anyway")
+
+
 def is_inductively_free(arr: Arrangement, force: bool = False):
     """Decide inductive freeness.
 
@@ -254,10 +265,7 @@ def is_inductively_free(arr: Arrangement, force: bool = False):
     (falsy).  Arrangements of rank above four are refused unless force
     is set; the exhaustive search there can be very slow.
     """
-    if arr.rank() > 4 and not force:
-        raise RankLimit(
-            f"rank {arr.rank()} decision is not guaranteed tractable;"
-            " pass force=True to run it anyway")
+    _check_rank(arr, force)
     return _decide(arr)
 
 
@@ -512,21 +520,6 @@ class NecCondReport:
         }
 
 
-def _removal_moves(ms):
-    """{restriction count: next multiset} for every removal ms allows.
-
-    Removing a hyperplane whose restriction count is rc is allowed when
-    v = sum(ms) - rc is a positive entry of ms; that entry drops by one.
-    """
-    total = sum(ms)
-    out = {}
-    for v in set(ms):
-        if v >= 1:
-            pos = ms.index(v)
-            out[total - v] = tuple(sorted(ms[:pos] + ms[pos + 1:] + (v - 1,)))
-    return out
-
-
 def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
     """Count, level by level, the subsets that survive the removal test.
 
@@ -548,7 +541,7 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
     exps = _exps(exponents)
     if len(exps) != arr.dim:
         raise ShapeError(f"need {arr.dim} exponents, got {len(exps)}")
-    if sum(exps) != len(arr) or min(exps, default=0) < 0:
+    if sum(exps) != len(arr):
         raise ShapeError(
             f"exponents {exps} are not a nonnegative splitting of the"
             f" cardinality {len(arr)}")
@@ -719,8 +712,10 @@ def hereditarily_inductively_free(arr: Arrangement,
 
     Restrictions of dimension at most two are free for trivial reasons
     and are recorded as passing without a search.  The verdict map is
-    keyed by flat bitmask.
+    keyed by flat bitmask.  Arrangements of rank above four are refused
+    unless force is set, as by is_inductively_free.
     """
+    _check_rank(arr, force)
     levels = arr.intersection_lattice().levels
     verdicts = {}
     for rk, level in enumerate(levels[:arr.dim]):
@@ -728,9 +723,6 @@ def hereditarily_inductively_free(arr: Arrangement,
         for mask in level:
             if rest_dim <= 2:
                 verdicts[mask] = True
-                continue
-            if rk == 0:
-                verdicts[mask] = bool(is_inductively_free(arr, force=force))
                 continue
             # the center, the last flat, holds every hyperplane
             contracted = _contract(levels, mask, rk)

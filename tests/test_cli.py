@@ -327,6 +327,9 @@ def test_count_nec(capsys, tmp_path):
     # wrong starting exponents are rejected before the scan
     assert run(capsys, "count-nec", str(boolean),
                "--exponents", "1,1,1,2")[0] == 2
+    code, out, err = run(capsys, "count-nec", str(boolean),
+                         "--exponents=-1,2,2")
+    assert code == 2 and out == "" and "nonnegative" in err
     # a list that is not one exits 2 with the option and the text named
     with pytest.raises(SystemExit) as exc:
         run(capsys, "count-nec", str(boolean), "--exponents", "0,1,x")
@@ -348,6 +351,74 @@ def test_count_nec_refutes_g34_a1(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["exponents"] == [1, 13, 19, 25, 27]
     assert payload["levels"][-1] == {"n": 1, "N": 0, "exps": []}
+
+
+FILE_COMMANDS = ("exponents", "induce", "verify-table", "count-nec",
+                 "hereditary")
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    for name, body in (("bad.arr", b"arr v1 dim=3 zeta=1\n1, 0, \xff\n"),
+                       ("bad.tbl", b"table v1 dim=1 zeta=1\n\xff | |\n")):
+        path = tmp_path / name
+        path.write_bytes(body)
+        for cmd in FILE_COMMANDS:
+            code, out, err = run(capsys, cmd, str(path), "--json")
+            assert code == 3 and out == "", (cmd, name)
+            assert err.startswith("error:") and "UTF-8" in err, (cmd, name)
+
+
+# exit code 1 is a negative verdict: the payload key and value that say so
+NEGATIVE = {"exponents": ("splits", False),
+            "induce": ("verdict", "not-inductively-free"),
+            "verify-table": ("ok", False),
+            "hereditary": ("ok", False)}
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(out) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 and pos < len(out):
+            out[pos] ^= 1 << rng.randrange(8)
+        elif kind == 1 and pos < len(out):
+            del out[pos]
+        else:
+            # characters of the formats themselves, and two bytes that
+            # are not UTF-8
+            out.insert(pos, rng.choice(b"0123456789,|-+*z \n\xff\x80"))
+    return bytes(out)
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    inputs = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+    seeds = [inputs / f"int_3_3_{k}.arr" for k in range(4)]
+    seeds += [FIXTURES / "g33_a2.tbl", FIXTURES / "g29_a1.tbl"]
+    rng = random.Random(20261018)
+    codes = set()
+    for case in range(200):
+        source = seeds[case % len(seeds)]
+        path = tmp_path / f"m{case}{source.suffix}"
+        path.write_bytes(_mutate(rng, source.read_bytes()))
+        for cmd in FILE_COMMANDS:
+            try:
+                code, out, err = run(capsys, cmd, str(path), "--json")
+            except Exception as e:
+                pytest.fail(f"{cmd} {path.read_bytes()!r} raised {e!r}")
+            assert code in (0, 1, 2, 3), (cmd, path.read_bytes())
+            codes.add(code)
+            if code in (2, 3):
+                assert out == "" and err.startswith("error:"), \
+                    (cmd, path.read_bytes(), err)
+                continue
+            payload = json.loads(out)
+            assert payload["command"] == cmd
+            if code == 1:
+                key, value = NEGATIVE[cmd]
+                assert payload[key] == value, (cmd, path.read_bytes())
+    # the mutations reach success, verdicts and parse errors
+    assert {0, 1, 3} <= codes
 
 
 def test_zero_covector_is_a_parse_error(capsys, tmp_path):

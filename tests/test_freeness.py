@@ -37,7 +37,7 @@ from arrfree.freeness import (
     _ChainSearch,
     _chain_step,
     _decide,
-    _without_submultiset,
+    _removal_moves,
     certify_chain,
     check_triple,
     emit_induction_table,
@@ -70,6 +70,93 @@ def test_check_triple():
         check_triple((1, 4, 6), (1, 4), (1, 4))
     with pytest.raises(ShapeError):
         check_triple((1, 4, 6), (1, 4, 5), (1, 4, 5))
+
+
+def _without_submultiset(exps, sub):
+    """What is left of exps after removing sub, or None if sub is not inside."""
+    left = Counter(exps)
+    for v in sub:
+        if left[v] <= 0:
+            return None
+        left[v] -= 1
+    return tuple(sorted((+left).elements()))
+
+
+def _reference_chain_step(exps, restriction_exps, delta=1):
+    """The addition-deletion step by multiset difference, as it was coded
+    before the rule was reduced to one sum and one sorted comparison."""
+    if len(restriction_exps) + 1 != len(exps):
+        return None
+    rest = _without_submultiset(exps, restriction_exps)
+    if rest is None or len(rest) != 1 or rest[0] + delta < 0:
+        return None
+    return tuple(sorted(restriction_exps + (rest[0] + delta,)))
+
+
+def _chain_step_cases():
+    """Seeded (exps, restriction exps, delta) triples: true sub-multisets
+    less one entry, zeros among the entries, an entry swapped for another
+    value, wrong lengths, and both deltas."""
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(600):
+        size = rng.randint(1, 5)
+        exps = tuple(sorted(rng.randint(0, 4) for _ in range(size)))
+        rexp = list(exps)
+        del rexp[rng.randrange(len(rexp))]
+        kind = rng.randrange(4)
+        if kind == 1 and rexp:
+            rexp[rng.randrange(len(rexp))] = rng.randint(0, 5)
+        elif kind == 2:
+            rexp.append(rng.randint(0, 4))
+        elif kind == 3 and rexp:
+            del rexp[rng.randrange(len(rexp))]
+        cases.append((exps, tuple(sorted(rexp)), rng.choice((1, -1))))
+    return cases
+
+
+def _check_chain_step(step):
+    outcomes = Counter()
+    for exps, rexp, delta in _chain_step_cases():
+        want = _reference_chain_step(exps, rexp, delta)
+        assert step(exps, rexp, delta) == want, (exps, rexp, delta)
+        outcomes[want is None] += 1
+    # the cases reach both answers
+    assert outcomes[True] and outcomes[False]
+
+
+def test_chain_step_matches_multiset_difference():
+    _check_chain_step(_chain_step)
+
+
+def test_chain_step_agrees_with_removal_moves():
+    # removing entry v of E is the census move for restriction count
+    # sum(E) - v, and no other count has a move
+    for exps, _, _ in _chain_step_cases():
+        moves = _removal_moves(exps)
+        for pos, v in enumerate(exps):
+            rexp = exps[:pos] + exps[pos + 1:]
+            step = _chain_step(exps, rexp, -1)
+            assert step == moves.get(sum(exps) - v), (exps, v)
+        assert set(moves) == {sum(exps) - v for v in exps if v >= 1}
+
+
+def test_broken_chain_steps_are_caught():
+    def unguarded(exps, rexp, delta=1):
+        v = sum(exps) - sum(rexp)
+        if sorted(rexp + (v,)) != sorted(exps):
+            return None
+        return tuple(sorted(rexp + (v + delta,)))
+
+    def sums_only(exps, rexp, delta=1):
+        v = sum(exps) - sum(rexp)
+        if v + delta < 0:
+            return None
+        return tuple(sorted(rexp + (v + delta,)))
+
+    for broken in (unguarded, sums_only):
+        with pytest.raises(AssertionError):
+            _check_chain_step(broken)
 
 
 def test_trivial_arrangements():
@@ -137,6 +224,10 @@ def test_rank_limit():
         is_inductively_free(arr)
     cert = is_inductively_free(arr, force=True)
     assert cert and cert.exponents == (1, 1, 1, 1, 1)
+    with pytest.raises(RankLimit):
+        hereditarily_inductively_free(arr)
+    report = hereditarily_inductively_free(arr, force=True)
+    assert report.ok and report.verdicts[0] is True
 
 
 def _canonical_table(r):
@@ -381,6 +472,9 @@ def test_scan_needs_exponents():
     assert report.exponents == (1, 1, 2)
     with pytest.raises(ShapeError):
         necessary_condition_counts(arr, exponents=(1, 1))
+    # the sum matches the cardinality, so only the sign is wrong
+    with pytest.raises(ShapeError, match="nonnegative"):
+        necessary_condition_counts(arr, exponents=(-1, 2, 3))
 
 
 def test_recursion_witness_round_trip():
@@ -679,19 +773,37 @@ def test_subarrangement_and_restriction_lattices_match_exact():
                      for lv in restr.intersection_lattice().levels]
 
 
-def test_hereditary_matches_exact_restrictions():
+def _hereditary_want(arr, decide):
+    """The hereditary verdict map from exact restrictions, each decided on
+    its own by decide."""
+    want = {}
+    for k, level in enumerate(arr.intersection_lattice().levels):
+        if k >= arr.dim:
+            continue
+        for x in level:
+            if arr.dim - k <= 2:
+                want[x] = True
+            else:
+                sub = arr if k == 0 else arr.restricted(_flat_of(arr, x))
+                want[x] = bool(decide(sub))
+    return want
+
+
+def test_hereditary_matches_exact_restrictions(monkeypatch):
     cache = {}
-    for arr in _oracle_inputs():
-        want = {}
-        for k, level in enumerate(arr.intersection_lattice().levels):
-            if k >= arr.dim:
-                continue
-            for x in level:
-                if arr.dim - k <= 2:
-                    want[x] = True
-                else:
-                    sub = arr if k == 0 else arr.restricted(_flat_of(arr, x))
-                    want[x] = bool(_reference_if(sub, cache))
+    cases = [(arr, _hereditary_want(arr, lambda s: _reference_if(s, cache)))
+             for arr in _oracle_inputs()]
+    g33_a1 = restriction_by_type(group("G33"), "A1")
+    cases.append((g33_a1, _hereditary_want(g33_a1, _decide)))
+    assert cases[-1][1][0] is False
+
+    # the ambient space goes through the same search as every other flat,
+    # so no census runs for a death level that the verdict map drops
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(freeness, "necessary_condition_counts", no_census)
+    for arr, want in cases:
         report = hereditarily_inductively_free(arr)
         assert report.verdicts == want, arr.to_text()
         assert report.ok == all(want.values())
