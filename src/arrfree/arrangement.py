@@ -722,26 +722,15 @@ def _integer_roots(coeffs, bound: int):
 
 # -- lattice isomorphism ---------------------------------------------------------
 
-def _wl_colors(m: int, levels):
-    """Stable atom coloring refined by flat membership structure."""
-    flats = [(k, mask) for k in range(2, len(levels)) for mask in levels[k]]
-    colors = [0] * m
-    for _ in range(m):
-        sigs = []
-        for i in range(m):
-            member = []
-            for k, mask in flats:
-                if mask >> i & 1:
-                    others = sorted(colors[j] for j in _bits(mask) if j != i)
-                    member.append((k, len(others) + 1, tuple(others)))
-            member.sort()
-            sigs.append((colors[i], tuple(member)))
-        ordinals = {sig: n for n, sig in enumerate(sorted(set(sigs)))}
-        new = [ordinals[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def _atom_colors(m: int, levels):
+    """Each atom's sorted (rank, size) of the flats of rank >= 2 through it."""
+    colors = [[] for _ in range(m)]
+    for k in range(2, len(levels)):
+        for mask in levels[k]:
+            s = mask.bit_count()
+            for i in _bits(mask):
+                colors[i].append((k, s))
+    return [tuple(sorted(c)) for c in colors]
 
 
 def _bits(mask: int):
@@ -779,18 +768,17 @@ def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
         return True
     la = a.intersection_lattice()
     lb = b.intersection_lattice()
-    if [sorted(x.bit_count() for x in lv) for lv in la.levels] != \
-            [sorted(x.bit_count() for x in lv) for lv in lb.levels]:
+    # a flat of rank k >= 2 and size s gives s atoms the colour entry
+    # (k, s), so equal colour multisets mean equal levels
+    cola = _atom_colors(m, la.levels)
+    colb = _atom_colors(m, lb.levels)
+    if sorted(cola) != sorted(colb):
         return False
     if la.rank < 2:
         return True
-    cola = _wl_colors(m, la.levels)
-    colb = _wl_colors(m, lb.levels)
-    if sorted(cola) != sorted(colb):
-        return False
     lsa = _line_size_matrix(m, la.levels[2])
     lsb = _line_size_matrix(m, lb.levels[2])
-    by_color: dict[int, list[int]] = {}
+    by_color: dict[tuple, list[int]] = {}
     for j, c in enumerate(colb):
         by_color.setdefault(c, []).append(j)
     freq = {c: len(v) for c, v in by_color.items()}

@@ -65,7 +65,6 @@ def intermediate(r: int, ell: int, k: int) -> Arrangement:
         raise InvalidParameter(
             f"need 2 <= r <= {MAX_ORDER}, 2 <= ell <= {MAX_DIM} and"
             f" 0 <= k <= ell, got r={r}, ell={ell}, k={k}")
-    z = root_of_unity(r)
     covs = []
     for i in range(k):
         v = [0] * ell
@@ -76,7 +75,7 @@ def intermediate(r: int, ell: int, k: int) -> Arrangement:
             for m in range(r):
                 v = [0] * ell
                 v[i] = 1
-                v[j] = -(z ** m)
+                v[j] = -root_of_unity(r, m)
                 covs.append(v)
     return Arrangement(ell, covs, r)
 
@@ -429,9 +428,8 @@ def canonical_induction_order(r: int, ell: int) -> list[Hyperplane]:
 
 
 def _ordered_covectors(r: int, ell: int) -> list[list]:
-    z = root_of_unity(r)
     if ell == 3:
-        rows = [[1, -(z ** m)] for m in range(r)]
+        rows = [[1, -root_of_unity(r, m)] for m in range(r)]
     else:
         rows = _ordered_covectors(r, ell - 1)
     rows = [row + [0] for row in rows]
@@ -442,6 +440,6 @@ def _ordered_covectors(r: int, ell: int) -> list[list]:
         for j in range(r):
             v = [0] * ell
             v[k - 1] = 1
-            v[ell - 1] = -(z ** j)
+            v[ell - 1] = -root_of_unity(r, j)
             rows.append(v)
     return rows

@@ -19,7 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from .arrangement import Arrangement, RankLimit
+from .arrangement import (Arrangement, NonSplitting, NotAFlat, NotMember,
+                          RankLimit, ZeroDimensional)
 from .catalog import (
     AmbiguousType,
     CatalogDataError,
@@ -32,7 +33,7 @@ from .catalog import (
     reflection_arrangement,
     restriction_by_type,
 )
-from .cyclotomic import FormatError
+from .cyclotomic import DivisionByZero, FormatError, IncompatibleOrder
 from .freeness import (
     InductionTable,
     NonFreeInput,
@@ -352,7 +353,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return USAGE
     except (InvalidParameter, NoSuchType, AmbiguousType, CatalogDataError,
-            NonFreeInput, ShapeError, StaleCertificate) as e:
+            NonFreeInput, ShapeError, StaleCertificate, NotAFlat,
+            ZeroDimensional, NonSplitting, NotMember, IncompatibleOrder,
+            DivisionByZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     finally:

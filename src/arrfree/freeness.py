@@ -191,14 +191,16 @@ class _ChainSearch:
     not split, gives (steps, exponents), a step being (atom, exponents
     before, restriction exponents), or None.  The restriction of B to
     atom i is, in the lattice contracted at i, the lines through i that
-    keep a second member of B."""
+    keep a second member of B; exps maps a subarrangement's mask to its
+    roots, computed once for the restriction searches."""
 
-    __slots__ = ("levels", "dim", "memo", "through", "restrictions")
+    __slots__ = ("levels", "dim", "memo", "exps", "through", "restrictions")
 
     def __init__(self, levels, dim):
         self.levels = levels
         self.dim = dim
         self.memo = {}
+        self.exps = {}
         self.through = {}
         for line in levels[2] if len(levels) > 2 else ():
             for i in _bits(line):
@@ -233,7 +235,10 @@ class _ChainSearch:
             if restr is None:
                 restr = self.restrictions[i] = _ChainSearch(
                     _contract(self.levels, 1 << i, 1), self.dim - 1)
-            rexp = _sub_exponents(restr.levels, rmask, restr.dim)
+            rexp = restr.exps.get(rmask, _MISSING)
+            if rexp is _MISSING:
+                rexp = restr.exps[rmask] = _sub_exponents(
+                    restr.levels, rmask, restr.dim)
             if rexp is None:
                 continue
             # deletion-restriction: chi(B - H) = chi(B) + chi(B''), so the
@@ -462,8 +467,12 @@ def verify_induction_table(table) -> TableReport:
     """
     if isinstance(table, str):
         table = InductionTable.parse(table)
-    hyps = [Hyperplane.parse(row.form, table.order, table.dim)
-            for row in table.rows]
+    hyps = []
+    for n, row in enumerate(table.rows, start=1):
+        try:
+            hyps.append(Hyperplane.parse(row.form, table.order, table.dim))
+        except FormatError as e:
+            raise FormatError(f"row {n}: {e}") from None
     claimed = [(row.exps_before, row.restriction_exps) for row in table.rows]
     return _replay_chain(table.dim, table.order, hyps, claimed, table.final)
 

@@ -6,6 +6,7 @@ import inspect
 import random
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +25,22 @@ from arrfree.arrangement import (
     _build_levels,
     _charpoly,
     _contract,
+    _line_size_matrix,
     _mod_root,
     _mod_vector,
+    _permute_mask,
     _reduce,
     _rref,
     _sub_levels,
     lattice_isomorphic,
 )
-from arrfree.catalog import group, group_names, reflection_arrangement
+from arrfree.catalog import (
+    group,
+    group_names,
+    intermediate,
+    reflection_arrangement,
+    restriction_by_type,
+)
 from arrfree.cyclotomic import (
     MAX_ORDER,
     Cyc,
@@ -842,3 +851,178 @@ def test_lattice_isomorphism_same_sizes_different_lines():
     a = Arrangement(2, [[1, k] for k in range(6)])
     b = Arrangement(2, [[1, 2 * k + 1] for k in range(5)] + [[0, 1]])
     assert lattice_isomorphic(a, b)
+
+
+# -- lattice isomorphism against the colour-refinement oracle ------------------
+
+def _reference_wl_colors(m: int, levels):
+    """Stable atom coloring refined by flat membership structure."""
+    flats = [(k, mask) for k in range(2, len(levels)) for mask in levels[k]]
+    colors = [0] * m
+    for _ in range(m):
+        sigs = []
+        for i in range(m):
+            member = []
+            for k, mask in flats:
+                if mask >> i & 1:
+                    others = sorted(colors[j] for j in _bits(mask) if j != i)
+                    member.append((k, len(others) + 1, tuple(others)))
+            member.sort()
+            sigs.append((colors[i], tuple(member)))
+        ordinals = {sig: n for n, sig in enumerate(sorted(set(sigs)))}
+        new = [ordinals[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def _reference_isomorphic(a: Arrangement, b: Arrangement) -> bool:
+    """The isomorphism test that lattice_isomorphic replaced: compare the
+    level profiles, refine atom colours to a fixpoint, then backtrack."""
+    m = len(a)
+    if len(b) != m:
+        return False
+    if m == 0:
+        return True
+    la = a.intersection_lattice()
+    lb = b.intersection_lattice()
+    if [sorted(x.bit_count() for x in lv) for lv in la.levels] != \
+            [sorted(x.bit_count() for x in lv) for lv in lb.levels]:
+        return False
+    if la.rank < 2:
+        return True
+    cola = _reference_wl_colors(m, la.levels)
+    colb = _reference_wl_colors(m, lb.levels)
+    if sorted(cola) != sorted(colb):
+        return False
+    lsa = _line_size_matrix(m, la.levels[2])
+    lsb = _line_size_matrix(m, lb.levels[2])
+    by_color: dict[int, list[int]] = {}
+    for j, c in enumerate(colb):
+        by_color.setdefault(c, []).append(j)
+    freq = {c: len(v) for c, v in by_color.items()}
+    order = sorted(range(m), key=lambda i: (freq[cola[i]], cola[i], i))
+    target_sets = [set(lv) for lv in lb.levels]
+    sigma = [-1] * m
+    used = [False] * m
+
+    def assign(pos: int) -> bool:
+        if pos == m:
+            return all({_permute_mask(mask, sigma) for mask in la.levels[k]}
+                       == target_sets[k] for k in range(2, la.rank + 1))
+        i = order[pos]
+        for x in by_color.get(cola[i], ()):
+            if used[x]:
+                continue
+            ok = True
+            for q in range(pos):
+                j = order[q]
+                if lsa[i][j] != lsb[x][sigma[j]]:
+                    ok = False
+                    break
+            if ok:
+                sigma[i] = x
+                used[x] = True
+                if assign(pos + 1):
+                    return True
+                used[x] = False
+                sigma[i] = -1
+        return False
+
+    return assign(0)
+
+
+def _relabelled(arr: Arrangement, rng: random.Random) -> Arrangement:
+    """arr in permuted and rescaled coordinates: the same lattice, its
+    hyperplanes in another order."""
+    perm = rng.sample(range(arr.dim), arr.dim)
+    scale = [rng.choice((1, -1, 2, 3)) *
+             root_of_unity(arr.order, rng.randrange(arr.order))
+             for _ in range(arr.dim)]
+    covs = []
+    for h in arr:
+        v = [0] * arr.dim
+        for j, c in enumerate(h.coeffs):
+            v[perm[j]] = c * scale[j]
+        covs.append(v)
+    return Arrangement(arr.dim, covs, arr.order)
+
+
+def _level_profile(arr: Arrangement):
+    return [sorted(x.bit_count() for x in lv)
+            for lv in arr.intersection_lattice().levels]
+
+
+def _random_equal_profile_pairs():
+    """Seeded pairs of subarrangements of intermediate(3, 4, 4) with equal
+    level profiles, each followed by relabelled copies of both."""
+    rng = random.Random(20261018)
+    pool = intermediate(3, 4, 4)
+    buckets = {}
+    for _ in range(120):
+        arr = Arrangement(4, rng.sample(pool.hyperplanes, rng.randint(7, 10)),
+                          3)
+        buckets.setdefault(repr(_level_profile(arr)), []).append(arr)
+    pairs = []
+    for arrs in buckets.values():
+        for a, b in zip(arrs, arrs[1:]):
+            pairs += [(a, b), (_relabelled(a, rng), b),
+                      (a, _relabelled(b, rng))]
+    return pairs
+
+
+def _check_isomorphism(pairs):
+    answers = Counter()
+    for a, b in pairs:
+        want = _reference_isomorphic(a, b)
+        assert lattice_isomorphic(a, b) == want
+        answers[want] += 1
+    return answers
+
+
+_TABLES = Path(__file__).resolve().parent.parent / "fixtures" / "tables"
+_TABLE_SOURCES = (("g29_a1", "G29", "A1"), ("g31_a1", "G31", "A1"),
+                  ("g33_a1sq", "G33", "A1^2"), ("g33_a2", "G33", "A2"),
+                  ("g34_a1cube", "G34", "A1^3"), ("g34_a1a2", "G34", "A1A2"),
+                  ("g34_a3", "G34", "A3"))
+
+
+def test_lattice_isomorphism_matches_reference_on_the_paper_pairs():
+    rng = random.Random(6)
+    pairs = []
+    # criterion 6: every restriction of intermediate(3, ell, k) against
+    # every intermediate type one dimension down; one of them is its type
+    for ell in (3, 4):
+        targets = [intermediate(3, ell - 1, kk) for kk in range(ell)]
+        for k in range(1, ell):
+            arr = intermediate(3, ell, k)
+            pairs += [(arr.restricted(h), t) for h in arr for t in targets]
+    # the shipped tables against the catalog restrictions they encode
+    for stem, gname, tag in _TABLE_SOURCES:
+        table = InductionTable.parse((_TABLES / f"{stem}.tbl").read_text())
+        arr = Arrangement(table.dim, [row.form for row in table.rows],
+                          table.order)
+        target = restriction_by_type(group(gname), tag)
+        pairs += [(arr, target), (_relabelled(arr, rng), target)]
+    r333 = restriction_by_type(group("G34"), "G(3,3,3)")
+    g26 = reflection_arrangement(group("G26"))
+    pairs += [(r333, g26), (_relabelled(r333, rng), g26)]
+    # 21 + 60 restrictions, each of one type, and 16 isomorphic pairs
+    assert _check_isomorphism(pairs) == {True: 81 + 16, False: 222}
+
+
+def test_lattice_isomorphism_matches_reference_on_random_pairs():
+    pairs = _random_equal_profile_pairs()
+    assert all(_level_profile(a) == _level_profile(b) for a, b in pairs)
+    answers = _check_isomorphism(pairs)
+    assert len(pairs) >= 30 and answers[True] >= 10 and answers[False] >= 10
+
+
+def test_non_invariant_colouring_is_caught(monkeypatch):
+    # colours keyed by atom index force the identity map, which fails on
+    # a relabelled copy
+    monkeypatch.setattr(arrangement, "_atom_colors",
+                        lambda m, levels: list(range(m)))
+    with pytest.raises(AssertionError):
+        _check_isomorphism(_random_equal_profile_pairs())

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import arrfree
-from arrfree import catalog
+from arrfree import arrangement, catalog, cli, cyclotomic
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
 from arrfree.cyclotomic import (
@@ -192,7 +192,10 @@ def test_unreadable_numbers_are_parse_errors(capsys, tmp_path):
         cmd = "verify-table" if name.endswith(".tbl") else "exponents"
         code, out, err = run(capsys, cmd, str(path), "--json")
         assert code == 3 and out == "", (name, err)
-        assert err.startswith("error: cannot read the number"), (name, err)
+        # a table form's error names its row
+        where = "row 1: " if name == "form.tbl" else ""
+        assert err.startswith(f"error: {where}cannot read the number"), \
+            (name, err)
 
 
 def test_dimension_above_the_cap(capsys, tmp_path):
@@ -430,7 +433,34 @@ def test_zero_covector_is_a_parse_error(capsys, tmp_path):
     tbl = tmp_path / "zero.tbl"
     tbl.write_text("table v1 dim=3 zeta=1\n0,0,0 | 0 | 0,0\n1,0,0 | |\n")
     code, out, err = run(capsys, "verify-table", str(tbl), "--json")
-    assert code == 3 and out == "" and "zero form" in err
+    assert code == 3 and out == "" and "error: row 1: the zero form" in err
+
+
+def test_table_form_errors_name_their_row(capsys, tmp_path):
+    head = "table v1 dim=3 zeta=1\n0,0,0 | a | 0,0\n1,0,0 | b | 0,1\n"
+    for form, message in (("q + b", "unknown coordinate 'q'"),
+                          ("a - a", "the zero form")):
+        tbl = tmp_path / "bad.tbl"
+        tbl.write_text(head + f"1,1,0 | {form} | 0,1\n1,1,1 | |\n")
+        code, out, err = run(capsys, "verify-table", str(tbl), "--json")
+        assert code == 3 and out == "", form
+        assert f"error: row 3: {message}" in err, err
+
+
+@pytest.mark.parametrize("exc", [
+    arrangement.NotAFlat, arrangement.ZeroDimensional,
+    arrangement.NonSplitting, arrangement.NotMember,
+    cyclotomic.IncompatibleOrder, cyclotomic.DivisionByZero])
+def test_library_errors_are_usage_errors(capsys, monkeypatch, tmp_path, exc):
+    def raising(args):
+        raise exc("raised by the library")
+
+    monkeypatch.setattr(cli, "cmd_exponents", raising)
+    path = build(capsys, tmp_path, "a.arr", "--family", "intermediate",
+                 "--r", "3", "--ell", "3", "--k", "1")
+    code, out, err = run(capsys, "exponents", path, "--json")
+    assert code == 2 and out == ""
+    assert "error: raised by the library" in err
 
 
 def test_classify(capsys):

@@ -732,6 +732,27 @@ def test_passed_down_exponents_match_the_lattice(monkeypatch):
     assert len(nodes) > 517
 
 
+def test_restriction_exponents_are_computed_once(monkeypatch):
+    # a search computes each restriction's roots once per subarrangement;
+    # the restriction searches, and so their levels, live through _decide
+    sub = freeness._sub_exponents
+    seen = set()
+
+    def once(levels, mask, dim):
+        assert (id(levels), mask) not in seen
+        seen.add((id(levels), mask))
+        return sub(levels, mask, dim)
+
+    monkeypatch.setattr(freeness, "_sub_exponents", once)
+    calls = 0
+    for arr in _oracle_inputs() + [restriction_by_type(group("G33"), "A1")]:
+        seen.clear()
+        res = _decide(arr)
+        calls += len(seen)
+    assert not res and res.explored == 517
+    assert calls > 1000
+
+
 def test_broken_deletion_exponents_are_caught(monkeypatch):
     step = freeness._chain_step
     broken = (
