@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from arrfree.cyclotomic import (
+    ArrfreeError,
     Cyc,
     FormatError,
     _coerce,
@@ -28,24 +29,24 @@ from arrfree.cyclotomic import (
 )
 
 
-class NonSplitting(ValueError):
+class NonSplitting(ArrfreeError, ValueError):
     """Raised when a characteristic polynomial does not factor into
     nonnegative integer roots."""
 
 
-class NotMember(ValueError):
+class NotMember(ArrfreeError, ValueError):
     """Raised when a hyperplane expected in an arrangement is absent."""
 
 
-class NotAFlat(ValueError):
+class NotAFlat(ArrfreeError, ValueError):
     """Raised when a restriction target is not a flat of the arrangement."""
 
 
-class ZeroDimensional(ValueError):
+class ZeroDimensional(ArrfreeError, ValueError):
     """Raised when a restriction would land in a zero-dimensional space."""
 
 
-class RankLimit(ValueError):
+class RankLimit(ArrfreeError, ValueError):
     """Raised when a computation exceeds its guaranteed-tractable rank."""
 
 

@@ -29,6 +29,7 @@ from arrfree.arrangement import (
     _sub_exponents,
 )
 from arrfree.cyclotomic import (
+    ArrfreeError,
     Cyc,
     MAX_DIM,
     MAX_ORDER,
@@ -41,19 +42,19 @@ from arrfree.cyclotomic import (
 )
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(ArrfreeError, ValueError):
     """Raised when a constructor parameter is outside its documented range."""
 
 
-class CatalogDataError(ValueError):
+class CatalogDataError(ArrfreeError, ValueError):
     """Raised when shipped generator data fails its integrity gates."""
 
 
-class NoSuchType(LookupError):
+class NoSuchType(ArrfreeError, LookupError):
     """Raised when an arrangement has no flat of the requested type."""
 
 
-class AmbiguousType(LookupError):
+class AmbiguousType(ArrfreeError, LookupError):
     """Raised when a type tag cannot be told apart from another tag."""
 
 

@@ -2,9 +2,12 @@
 
 Subcommands build arrangements, compute exponents, search for and verify
 addition chains, run the removal census, and sweep the intermediate family
-against its freeness rule.  Exit codes keep four meanings apart: 0 for
+against its freeness rule.  Exit codes keep five meanings apart: 0 for
 success or an affirmative verdict, 1 for a negative mathematical verdict,
-2 for invalid parameters, and 3 for I/O or parse failures.
+2 for invalid parameters, 3 for I/O or parse failures, and 4 for an
+internal error, a bug, with its traceback on stderr.  Every error that
+arrfree raises on purpose derives from ``ArrfreeError``: ``FormatError``
+exits 3 like ``OSError``, every other one exits 2.
 
 Every report has a --json twin that mirrors the human-readable text;
 timing goes to stderr only, so JSON payloads are byte-stable across runs.
@@ -17,15 +20,12 @@ import hashlib
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
-from .arrangement import (Arrangement, NonSplitting, NotAFlat, NotMember,
-                          RankLimit, ZeroDimensional)
+from .arrangement import Arrangement
 from .catalog import (
-    AmbiguousType,
-    CatalogDataError,
     InvalidParameter,
-    NoSuchType,
     canonical_induction_order,
     group,
     group_names,
@@ -33,12 +33,9 @@ from .catalog import (
     reflection_arrangement,
     restriction_by_type,
 )
-from .cyclotomic import DivisionByZero, FormatError, IncompatibleOrder
+from .cyclotomic import ArrfreeError, FormatError
 from .freeness import (
     InductionTable,
-    NonFreeInput,
-    ShapeError,
-    StaleCertificate,
     _read_exps,
     certify_chain,
     emit_induction_table,
@@ -52,17 +49,26 @@ OK = 0
 VERDICT = 1
 USAGE = 2
 IOERR = 3
+INTERNAL = 4
 
 
-def _read_text(path: str) -> str:
+def _load(args, parse):
+    """Parse the UTF-8 text of ``args.file``; also the head of the file
+    command's payload."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+        raise FormatError(f"{args.file}: not UTF-8 text (byte {e.start})") \
+            from None
+    return parse(text), {"command": args.cmd, "file": args.file,
+                         "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _refuse(args, names, reason: str) -> None:
+    """Refuse those of the options ``names`` that were given."""
+    given = [f"--{n}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise InvalidParameter(f"{', '.join(given)}: {reason}")
 
 
 def _print(args, payload: dict, lines) -> None:
@@ -77,14 +83,16 @@ def _print(args, payload: dict, lines) -> None:
 
 def cmd_build(args) -> int:
     if args.family:
+        _refuse(args, ("restrict",), "not used with --family")
         if args.r is None or args.ell is None or args.k is None:
             raise InvalidParameter("--family intermediate needs --r, --ell,"
                                    " and --k")
         arr = intermediate(args.r, args.ell, args.k)
         source = f"intermediate r={args.r} ell={args.ell} k={args.k}"
     else:
+        _refuse(args, ("r", "ell", "k"), "not used with --group")
         g = group(args.group)
-        if args.restrict:
+        if args.restrict is not None:
             arr = restriction_by_type(g, args.restrict)
             source = f"{args.group} restricted to type {args.restrict}"
         else:
@@ -103,7 +111,7 @@ def cmd_build(args) -> int:
         "dim": arr.dim,
         "zeta": arr.order,
         "hyperplanes": len(arr),
-        "sha256": _digest(text),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
         "out": args.out,
     }
     _print(args, payload, lines)
@@ -111,15 +119,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    text = _read_text(args.file)
-    arr = Arrangement.from_text(text)
+    arr, payload = _load(args, Arrangement.from_text)
     exps = arr.candidate_exponents()
-    payload = {
-        "command": "exponents",
-        "file": args.file,
-        "sha256": _digest(text),
-        "hyperplanes": len(arr),
-    }
+    payload["hyperplanes"] = len(arr)
     if exps is None:
         payload["splits"] = False
         _print(args, payload,
@@ -138,9 +140,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    text = _read_text(args.file)
-    arr = Arrangement.from_text(text)
-    payload = {"command": "induce", "file": args.file, "sha256": _digest(text)}
+    if args.order == "search":
+        _refuse(args, ("r", "ell"), "not used without --order canonical")
+    arr, payload = _load(args, Arrangement.from_text)
     if args.order == "canonical":
         if args.r is None or args.ell is None:
             raise InvalidParameter("--order canonical needs --r and --ell")
@@ -172,15 +174,9 @@ def cmd_induce(args) -> int:
 
 
 def cmd_verify_table(args) -> int:
-    text = _read_text(args.file)
-    table = InductionTable.parse(text)
+    table, payload = _load(args, InductionTable.parse)
     rep = verify_induction_table(table)
-    payload = {
-        "command": "verify-table",
-        "file": args.file,
-        "sha256": _digest(text),
-        "ok": rep.ok,
-    }
+    payload["ok"] = rep.ok
     if rep.ok:
         payload["exponents"] = list(rep.exponents)
         _print(args, payload, [rep.describe()])
@@ -192,11 +188,8 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_count_nec(args) -> int:
-    text = _read_text(args.file)
-    arr = Arrangement.from_text(text)
+    arr, payload = _load(args, Arrangement.from_text)
     rep = necessary_condition_counts(arr, exponents=args.exponents)
-    payload = {"command": "count-nec", "file": args.file,
-               "sha256": _digest(text)}
     payload.update(rep.payload())
     lines = [f"exponents {' '.join(str(e) for e in rep.exponents)}"]
     lines += rep.to_lines()
@@ -236,8 +229,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hereditary(args) -> int:
-    text = _read_text(args.file)
-    arr = Arrangement.from_text(text)
+    arr, payload = _load(args, Arrangement.from_text)
     rep = hereditarily_inductively_free(arr, force=args.force)
     flats = []
     for mask in sorted(rep.verdicts, key=lambda m: (m.bit_count(), m)):
@@ -251,14 +243,14 @@ def cmd_hereditary(args) -> int:
         lines.append(f"{name}: {'IF' if f['inductively_free'] else 'NotIF'}")
     lines.append("hereditarily inductively free" if rep.ok
                  else "not hereditarily inductively free")
-    payload = {"command": "hereditary", "file": args.file,
-               "sha256": _digest(text), "ok": rep.ok, "flats": flats}
+    payload.update(ok=rep.ok, flats=flats)
     _print(args, payload, lines)
     return OK if rep.ok else VERDICT
 
 
 # -- parser ------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="arrfree",
@@ -280,15 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict the group arrangement to a flat of this"
                         " type (e.g. A1, A1^2, A2, A3, A1A2, G(3,3,3))")
     b.add_argument("--out", metavar="FILE", help="output path")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(fn=cmd_build)
 
     e = sub.add_parser("exponents",
                        help="exponent candidates from the characteristic"
                             " polynomial")
     e.add_argument("file")
-    e.add_argument("--json", action="store_true")
-    e.set_defaults(fn=cmd_exponents)
 
     i = sub.add_parser("induce", help="search for an addition chain")
     i.add_argument("file")
@@ -300,13 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         " intermediate family instead of searching")
     i.add_argument("--r", type=int)
     i.add_argument("--ell", type=int)
-    i.add_argument("--json", action="store_true")
-    i.set_defaults(fn=cmd_induce)
 
     v = sub.add_parser("verify-table", help="replay and check a chain table")
     v.add_argument("file")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(fn=cmd_verify_table)
 
     c = sub.add_parser("count-nec",
                        help="level-by-level census of the removal test")
@@ -319,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--threads", type=int,
                    help="accepted for compatibility; the census is"
                         " sequential and this has no effect")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=cmd_count_nec)
 
     l = sub.add_parser("classify",
                        help="sweep the intermediate family against its"
@@ -328,15 +310,13 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--r", type=int, required=True)
     l.add_argument("--max-ell", type=int, required=True)
     l.add_argument("--force", action="store_true")
-    l.add_argument("--json", action="store_true")
-    l.set_defaults(fn=cmd_classify)
 
     h = sub.add_parser("hereditary",
                        help="decide inductive freeness of every restriction")
     h.add_argument("file")
     h.add_argument("--force", action="store_true")
-    h.add_argument("--json", action="store_true")
-    h.set_defaults(fn=cmd_hereditary)
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return p
 
 
@@ -344,20 +324,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except (FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return IOERR
-    except RankLimit as e:
+        # looked up per call, so a replaced cmd_* runs
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
+    except (ArrfreeError, OSError) as e:
         print(f"error: {str(e).replace('pass force=True', 'pass --force')}",
               file=sys.stderr)
-        return USAGE
-    except (InvalidParameter, NoSuchType, AmbiguousType, CatalogDataError,
-            NonFreeInput, ShapeError, StaleCertificate, NotAFlat,
-            ZeroDimensional, NonSplitting, NotMember, IncompatibleOrder,
-            DivisionByZero) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
+        return IOERR if isinstance(e, (FormatError, OSError)) else USAGE
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return INTERNAL
     finally:
         print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
 

@@ -24,15 +24,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class FormatError(ValueError):
+class ArrfreeError(Exception):
+    """Base class of every error that arrfree raises on purpose."""
+
+
+class FormatError(ArrfreeError, ValueError):
     """Raised when textual input (scalar, form, or file) is malformed."""
 
 
-class IncompatibleOrder(ValueError):
+class IncompatibleOrder(ArrfreeError, ValueError):
     """Raised when a value cannot be moved to the requested root order."""
 
 
-class DivisionByZero(ZeroDivisionError):
+class DivisionByZero(ArrfreeError, ZeroDivisionError):
     """Raised on inversion or division by the zero scalar."""
 
 

@@ -20,18 +20,18 @@ from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
                           _contract, _sub_exponents)
-from .cyclotomic import FormatError, check_header
+from .cyclotomic import ArrfreeError, FormatError, check_header
 
 
-class ShapeError(ValueError):
+class ShapeError(ArrfreeError, ValueError):
     """Raised when exponent multisets have incompatible lengths."""
 
 
-class NonFreeInput(ValueError):
+class NonFreeInput(ArrfreeError, ValueError):
     """Raised when an operation needs exponents but none are available."""
 
 
-class StaleCertificate(ValueError):
+class StaleCertificate(ArrfreeError, ValueError):
     """Raised when a certificate does not replay to the arrangement at hand."""
 
 

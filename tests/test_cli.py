@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import arrfree
-from arrfree import arrangement, catalog, cli, cyclotomic
+from arrfree import catalog, cli
 from arrfree.arrangement import Arrangement
 from arrfree.cli import main
 from arrfree.cyclotomic import (
@@ -72,6 +72,40 @@ def test_build_rejects_bad_parameters(capsys, tmp_path):
     assert run(capsys, "build", "--group", "G99", "--out", out)[0] == 2
     assert run(capsys, "build", "--group", "G33", "--restrict", "E8",
                "--out", out)[0] == 2
+    # an empty type is an unknown type, not the unrestricted arrangement
+    assert run(capsys, "build", "--group", "G33", "--restrict", "",
+               "--out", out)[0] == 2
+
+
+INTERMEDIATE = ("--family", "intermediate", "--r", "3", "--ell", "3",
+                "--k", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*INTERMEDIATE, "--restrict", "A1"),
+    ("--group", "G25", "--r", "3"),
+    ("--group", "G25", "--ell", "3"),
+    ("--group", "G25", "--k", "0"),
+], ids=["family-restrict", "group-r", "group-ell", "group-k"])
+def test_build_refuses_options_that_do_not_apply(capsys, tmp_path, argv):
+    out = tmp_path / "x.arr"
+    code, stdout, err = run(capsys, "build", *argv, "--out", str(out),
+                            "--json")
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: {argv[-2]}: not used with --"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--r", "3"),
+    ("--ell", "3"),
+    ("--order", "search", "--r", "3", "--ell", "3"),
+], ids=["r", "ell", "search-r-ell"])
+def test_induce_search_refuses_canonical_options(capsys, tmp_path, argv):
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
+    code, out, err = run(capsys, "induce", path, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and \
+        "not used without --order canonical" in err, err
 
 
 def test_exponents(capsys, tmp_path):
@@ -447,20 +481,70 @@ def test_table_form_errors_name_their_row(capsys, tmp_path):
         assert f"error: row 3: {message}" in err, err
 
 
-@pytest.mark.parametrize("exc", [
-    arrangement.NotAFlat, arrangement.ZeroDimensional,
-    arrangement.NonSplitting, arrangement.NotMember,
-    cyclotomic.IncompatibleOrder, cyclotomic.DivisionByZero])
+def _arrfree_errors(cls=arrfree.ArrfreeError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _arrfree_errors(sub)
+
+
+@pytest.mark.parametrize("exc", sorted(set(_arrfree_errors()),
+                                       key=lambda c: c.__name__))
 def test_library_errors_are_usage_errors(capsys, monkeypatch, tmp_path, exc):
+    # every error class of the library, so that a new one cannot be missed;
+    # a parse error exits 3, any other exits 2
     def raising(args):
         raise exc("raised by the library")
 
     monkeypatch.setattr(cli, "cmd_exponents", raising)
-    path = build(capsys, tmp_path, "a.arr", "--family", "intermediate",
-                 "--r", "3", "--ell", "3", "--k", "1")
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
     code, out, err = run(capsys, "exponents", path, "--json")
-    assert code == 2 and out == ""
+    assert code == (3 if issubclass(exc, FormatError) else 2) and out == ""
     assert "error: raised by the library" in err
+
+
+def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path):
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
+
+    def planted(args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(cli, "cmd_exponents", planted)
+    code, out, err = run(capsys, "exponents", path, "--json")
+    assert code == 4 and out == ""
+    assert "Traceback" in err and "RuntimeError: planted bug" in err
+
+
+def test_internal_errors_exit_4_from_the_console(tmp_path):
+    # a bug planted in the library, with arrfree.cli run as `python -m`
+    # runs it
+    path = tmp_path / "a.arr"
+    path.write_text(catalog.intermediate(3, 3, 1).to_text())
+    script = ("import runpy, sys\n"
+              "from arrfree.arrangement import Arrangement\n"
+              "def planted(self):\n"
+              "    raise RuntimeError('planted bug')\n"
+              "Arrangement.candidate_exponents = planted\n"
+              "sys.argv = ['arrfree', 'exponents', sys.argv[1], '--json']\n"
+              "runpy.run_module('arrfree.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: planted bug" in proc.stderr
+
+
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(
+        capsys, monkeypatch, tmp_path):
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
+    parser = cli._build_parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_exponents",
+                        lambda args: ran.append(args.file) or 0)
+    for _ in range(3):
+        assert run(capsys, "exponents", path)[0] == 0
+    assert ran == [path] * 3
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_classify(capsys):
@@ -493,16 +577,19 @@ def test_hereditary(capsys, tmp_path):
     assert run(capsys, "hereditary", str(bad))[0] == 1
 
 
-def test_console_script():
+def _child_env():
     # the child imports the same arrfree as this process, installed or not
     src = str(Path(arrfree.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+
+
+def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "arrfree.cli", "classify", "--r", "2",
          "--max-ell", "3", "--json"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_agree"]
     assert "elapsed" in proc.stderr
