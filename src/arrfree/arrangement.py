@@ -3,18 +3,21 @@
 Hyperplanes are normalized covectors (first nonzero entry 1).  The
 intersection lattice is built level by level; every flat is identified by
 the bitmask of the hyperplanes containing it, which is a complete
-invariant for central arrangements.  Each flat is found once, and its
-members are tested by one probe vector modulo a fixed prime (a rejection
-mod p is always a true rejection) and confirmed exactly.  Exact bases are
-kept only for the flats that generate the next level.
+invariant for central arrangements.  Each flat is found once.  Above rank
+2 most of its members are read off the lines (rank-2 flats) through two
+of its members, with no arithmetic; the rest pass a probe vector modulo a
+fixed prime (a rejection mod p is always a true rejection) and are
+confirmed exactly.  The probes read rref bases modulo the prime; an exact
+basis is computed only for a flat whose candidates need confirming.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import mul, or_
 
 from arrfree.cyclotomic import (
     ArrfreeError,
@@ -511,30 +514,72 @@ def _above(x: int, by_atom) -> int:
     return skip
 
 
-def _probe_keys(rows, pivots, mcovs, rest: int, root: int):
+def _mod_insert(rows, pivots, vec):
+    """Insert vec into an rref basis over F_P; None when vec lies in its
+    span mod P."""
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            vec = [(a - c * b) % _P for a, b in zip(vec, row)]
+    q = next((c for c, v in enumerate(vec) if v), None)
+    if q is None:
+        return None
+    inv = pow(vec[q], -1, _P)
+    vec = [v * inv % _P for v in vec]
+    rows = [[(a - row[q] * b) % _P for a, b in zip(row, vec)] if row[q]
+            else row for row in rows]
+    pairs = sorted(zip((*pivots, q), (*rows, vec)))
+    return tuple(r for _, r in pairs), tuple(p for p, _ in pairs)
+
+
+def _mod_span(mcovs, x: int, k: int):
+    """The rref basis over F_P of the rank-k flat x, from its atoms; None
+    when their images span less than rank k."""
+    basis = ((), ())
+    for j in _bits(x):
+        if len(basis[1]) == k:
+            break
+        basis = _mod_insert(*basis, mcovs[j]) or basis
+    return basis if len(basis[1]) == k else None
+
+
+def _probe_keys(rows, pivots, mcovs, rest: int):
     """A key mod P for each hyperplane j in rest, over the flat X with the
-    given rref basis; None when a row of the basis has no image in F_P.
+    given rref basis over F_P.
 
     u and w are two fixed vectors of X mod P, and j gets the point
     (cov_j.u : cov_j.w), so cov_j.(W_i u - U_i w) = 0 says that j passes
     the probe of X v H_i.  A member j of X v H_i has cov_j = t cov_i modulo
     the rows of X, so it gets i's point, or (0 : 0) when t = 0 mod P; key
     None marks (0 : 0), which no probe rejects."""
-    mrows = [_mod_vector(r, root) for r in rows]
-    if None in mrows:
-        return None
     probes = []
     for base in _PROBE_BASES:
         u = [0 if c in pivots else pow(base, c + 1, _P)
              for c in range(len(mcovs[0]))]
-        for mr, p in zip(mrows, pivots):
+        for mr, p in zip(rows, pivots):
             u[p] = -sum(a * b for a, b in zip(mr, u)) % _P
         probes.append(u)
+    u, w = probes
     keys = {}
     for j in _bits(rest):
-        a, b = (sum(c * v for c, v in zip(mcovs[j], u)) % _P for u in probes)
+        a = sum(map(mul, mcovs[j], u)) % _P
+        b = sum(map(mul, mcovs[j], w)) % _P
         keys[j] = b * pow(a, -1, _P) % _P if a else (-1 if b else None)
     return keys
+
+
+def _line_table(m: int, lines):
+    """table[a][b]: the mask of the line through atoms a != b; the
+    diagonal table[a][a] stays 0, so no line is read off a single atom."""
+    table = [[0] * m for _ in range(m)]
+    for line in lines:
+        atoms = list(_bits(line))
+        for a in atoms:
+            row = table[a]
+            for b in atoms:
+                if b != a:
+                    row[b] = line
+    return table
 
 
 def _same_line(red_j, red_i, q: int) -> bool:
@@ -549,11 +594,18 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     from the given lower levels.
 
     Each flat is found once: a rank-(k+1) flat that contains the rank-k
-    flat X and H_i is X v H_i, so the flats above X found earlier are
-    skipped by their masks, and every other i gives a new flat.  Its other
-    members are the hyperplanes j that pass its probe, each confirmed
-    exactly.  Exact bases are kept only for the flats that generate the
-    next level."""
+    flat X and H_i is Y = X v H_i, so the flats above X found earlier are
+    skipped by their masks, and every other i gives a new flat.  From rank
+    3 on, Y first takes every hyperplane on a line (a rank-2 flat) through
+    two of its members, repeated until none is added: if H_a and H_b
+    contain Y, so does every hyperplane that contains H_a n H_b.  This
+    needs no arithmetic.  The probe of Y is the completeness filter: a
+    hyperplane it rejects is no member, and a candidate that passes it
+    and no line certifies is confirmed exactly against X's rref basis,
+    computed from X's atoms when first needed.  The probes read rref bases
+    over F_P, each made by inserting the image of cov_i into X's; a flat
+    whose insert falls into the span mod P, or an order with no root in
+    F_P, takes the all-exact path."""
     m = len(arr)
     covs = [h.coeffs for h in arr.hyperplanes]
     root = _mod_root(arr.order)
@@ -562,23 +614,28 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     limit = arr.dim if max_rank is None else max_rank
     levels = list(levels)
     k = len(levels) - 1
-    current = [(x, *_rref((covs[j] for j in _bits(x)), k))
+    current = [(x, None if mcovs is None else _mod_span(mcovs, x, k))
                for x in levels[k]]
+    lines = None
     full = (1 << m) - 1
     while current and k < limit:
+        if k >= 2 and lines is None:
+            lines = _line_table(m, levels[2])
         k += 1
         generating = k < limit
         found = []
         by_atom: list = [[] for _ in range(m)]
         nxt = []
-        for x, rows, pivots in current:
+        for x, basis in current:
             rest = full & ~_above(x, by_atom)
-            keys = (_probe_keys(rows, pivots, mcovs, rest, root)
-                    if mcovs is not None and rest else None)
+            keys = (_probe_keys(*basis, mcovs, rest)
+                    if basis is not None and rest else None)
             groups: dict = {}
             for j, key in (keys or {}).items():
                 groups[key] = groups.get(key, 0) | 1 << j
             anywhere = groups.pop(None, 0)
+            atoms = list(_bits(x))
+            exact = None
             while rest:
                 low = rest & -rest
                 i = low.bit_length() - 1
@@ -586,14 +643,31 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
                 key = None if keys is None else keys[i]
                 cand = rest if key is None else (groups[key] | anywhere) & rest
                 mask = x | low
-                if cand or generating:
+                if lines is not None:
+                    members = [*atoms, i]
+                    new = [i]
+                    while new:
+                        grow = 0
+                        for a in new:
+                            row = lines[a]
+                            grow |= reduce(or_, map(row.__getitem__, members))
+                        grow &= ~mask
+                        mask |= grow
+                        new = list(_bits(grow))
+                        members += new
+                cand &= ~mask
+                if cand:
+                    if exact is None:
+                        exact = _rref((covs[j] for j in atoms), k - 1)
+                    rows, pivots = exact
                     red = _reduce(covs[i], rows, pivots)
                     q = next(c for c, v in enumerate(red) if v)
                     for j in _bits(cand):
                         if _same_line(_reduce(covs[j], rows, pivots), red, q):
                             mask |= 1 << j
-                    if generating:
-                        nxt.append((mask, *_rref_insert(rows, pivots, red, q)))
+                if generating:
+                    nxt.append((mask, None if basis is None
+                                else _mod_insert(*basis, mcovs[i])))
                 rest &= ~mask
                 found.append(mask)
                 for a in _bits(mask):

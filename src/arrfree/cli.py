@@ -142,6 +142,8 @@ def cmd_exponents(args) -> int:
 def cmd_induce(args) -> int:
     if args.order == "search":
         _refuse(args, ("r", "ell"), "not used without --order canonical")
+    else:
+        _refuse(args, ("force",), "not used with --order canonical")
     arr, payload = _load(args, Arrangement.from_text)
     if args.order == "canonical":
         if args.r is None or args.ell is None:
@@ -200,6 +202,8 @@ def cmd_count_nec(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.max_ell < 2:
+        raise InvalidParameter(f"--max-ell {args.max_ell}: need at least 2")
     rows = []
     all_agree = True
     for ell in range(min(3, args.max_ell), args.max_ell + 1):
@@ -280,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("induce", help="search for an addition chain")
     i.add_argument("file")
-    i.add_argument("--force", action="store_true",
+    # None when not given, so that --order canonical can refuse it
+    i.add_argument("--force", action="store_true", default=None,
                    help="allow rank above 4")
     i.add_argument("--order", choices=["search", "canonical"],
                    default="search",

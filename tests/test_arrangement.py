@@ -552,6 +552,9 @@ def _assert_same_as_reference(arr: Arrangement, max_rank=None):
     for level in levels:
         for mask in level:
             assert bases[mask] == expected_bases[mask], mask
+    if max_rank is None:
+        # through the top rank, which intersection_lattice() reads off rank()
+        assert _build_levels(arr) == expected
 
 
 def test_lattice_matches_reference_builder():
@@ -599,23 +602,36 @@ def test_top_rank_is_read_off_rank(monkeypatch):
     r = g33.rank()
     expected = _build_levels(g33)
     fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
-    fresh.rank()  # its own rref inserts are not the lattice's
-    ranks = []
-    insert = arrangement._rref_insert
+    fresh.rank()  # its own rref is not the lattice's
+    inserts = []
+    exact = []
+    mod_insert, rref = arrangement._mod_insert, arrangement._rref
 
-    def recording(rows, pivots, red, p):
-        ranks.append(len(rows) + 1)
-        return insert(rows, pivots, red, p)
+    def recording_insert(rows, pivots, vec):
+        inserts.append(len(rows) + 1)
+        return mod_insert(rows, pivots, vec)
+
+    def recording_rref(vectors, rank=None):
+        vectors = tuple(vectors)
+        exact.append((rank, frozenset(vectors)))
+        return rref(vectors, rank)
 
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_rref_insert", recording)
+        mp.setattr(arrangement, "_mod_insert", recording_insert)
+        mp.setattr(arrangement, "_rref", recording_rref)
         assert fresh.intersection_lattice().levels == expected
-    # the basis of each flat below rank r - 1 is built once, by inserting
-    # one hyperplane into a basis one rank lower; no rank-(r-1) flat gets
-    # a basis, since those flats generate only the centre
-    counts = Counter(ranks)
+    # the probe basis of each flat below rank r - 1 is made once, by
+    # inserting one hyperplane into a basis over F_P one rank lower; no
+    # rank-(r-1) flat gets one, since those flats generate only the centre
+    counts = Counter(inserts)
     assert r - 1 not in counts
     assert counts == {k: len(expected[k]) for k in range(1, r - 1)}
+    # an exact basis is computed from a flat's atoms at most once, and only
+    # for a flat below rank r - 1, whose candidates it confirms
+    assert exact and len(set(exact)) == len(exact)
+    ranks = Counter(k for k, _ in exact)
+    assert max(ranks) < r - 1
+    assert all(n <= len(expected[k]) for k, n in ranks.items())
     # resumed from a partial build that stops below, at or above the top
     for k in (r - 1, r, r + 1):
         fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
@@ -640,8 +656,8 @@ def test_probe_is_only_a_filter(monkeypatch):
     # a member whose point is (0 : 0) mod P stays a candidate of every flat
     probe_keys = arrangement._probe_keys
 
-    def some_unknown(rows, pivots, mcovs, rest, root):
-        keys = probe_keys(rows, pivots, mcovs, rest, root)
+    def some_unknown(rows, pivots, mcovs, rest):
+        keys = probe_keys(rows, pivots, mcovs, rest)
         return {j: None if j % 3 == 1 else key for j, key in keys.items()}
 
     monkeypatch.setattr(arrangement, "_probe_keys", some_unknown)
@@ -649,7 +665,7 @@ def test_probe_is_only_a_filter(monkeypatch):
     # a probe that passes every hyperplane leaves the levels unchanged:
     # every member is confirmed exactly
     monkeypatch.setattr(arrangement, "_probe_keys",
-                        lambda rows, pivots, mcovs, rest, root:
+                        lambda rows, pivots, mcovs, rest:
                         dict.fromkeys(_bits(rest), 0))
     assert [_build_levels(arr) for arr in cases] == expected
     assert len(confirmed) > 2 * filtered
@@ -671,10 +687,95 @@ def test_broken_kernels_are_caught(monkeypatch):
         assert [_build_levels(arr) for arr in cases] != expected
     with monkeypatch.context() as mp:
         mp.setattr(arrangement, "_probe_keys",
-                   lambda rows, pivots, mcovs, rest, root:
+                   lambda rows, pivots, mcovs, rest:
                    dict.fromkeys(_bits(rest), 0))
         mp.setattr(arrangement, "_same_line", lambda *args: True)
         assert [_build_levels(arr) for arr in cases] != expected
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """Arrangements, each with the rank to build up to and its reference
+    levels: the seeded random ones through their top rank, and F4 and G32
+    up to rank 3, whose rank-3 flats lie below the top and meet lines of
+    three and more hyperplanes."""
+    cases = [(arr, None) for arr in _oracle_cases()[::3]]
+    cases += [(reflection_arrangement(name), 3) for name in ("G28", "G32")]
+    return [(arr, r, _reference_levels(arr, r)[0]) for arr, r in cases]
+
+
+def _builds_as_reference(kernel_cases, build=None) -> bool:
+    build = build or arrangement._build_levels
+    return all(build(arr, r) == expected for arr, r, expected in kernel_cases)
+
+
+def test_broken_line_certification_is_caught(kernel_cases, monkeypatch):
+    assert _builds_as_reference(kernel_cases)
+    # a line on the diagonal certifies hyperplanes off one member
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_line_table",
+                   _mutant(arrangement._line_table, "if b != a:", "if True:"))
+        assert not _builds_as_reference(kernel_cases)
+    broken = (
+        # every line through a member, one holding no other member included
+        _mutant(_build_levels, "map(row.__getitem__, members)", "row"),
+        # candidates that no line certifies are dropped, not confirmed
+        _mutant(_build_levels, "if cand:", "if False:"),
+    )
+    for build in broken:
+        assert not _builds_as_reference(kernel_cases, build)
+    # a probe basis over F_P that misses cov_i
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_mod_insert",
+                   lambda rows, pivots, vec: (rows, pivots))
+        assert not _builds_as_reference(kernel_cases)
+
+
+def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
+    # a flat whose insert mod P reports a dependence has no probe basis,
+    # and the flats it generates are confirmed without a probe
+    mod_insert = arrangement._mod_insert
+    calls = []
+
+    def flaky(rows, pivots, vec):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            return None
+        return mod_insert(rows, pivots, vec)
+
+    monkeypatch.setattr(arrangement, "_mod_insert", flaky)
+    assert _builds_as_reference(kernel_cases)
+    # resumed from rank 2, with the probe bases spanned by the atoms
+    for arr, r, expected in kernel_cases[-2:]:
+        assert _build_levels(arr, r, expected[:3]) == expected
+    assert len(calls) > 300
+
+
+def test_lines_leave_few_exact_confirmations(monkeypatch):
+    same_line = arrangement._same_line
+    confirmed = []
+
+    def counting(*args):
+        confirmed.append(1)
+        return same_line(*args)
+
+    monkeypatch.setattr(arrangement, "_same_line", counting)
+    g34 = group("G34")
+    for arr, top in ((reflection_arrangement("G33"), None),
+                     (restriction_by_type(g34, "A1^2"), 3),
+                     (restriction_by_type(g34, "A1"), 3)):
+        fresh = Arrangement(arr.dim, arr.hyperplanes, arr.order)
+        fresh.partial_levels(2)
+        del confirmed[:]
+        if top is None:
+            top = fresh.rank() - 1
+            levels = fresh.intersection_lattice().levels
+        else:
+            levels, _ = fresh.partial_levels(top)
+        members = sum(x.bit_count() for level in levels[3:top + 1]
+                      for x in level)
+        # most members at rank >= 3 lie on a line through two others
+        assert len(confirmed) < 0.02 * members, (arr, len(confirmed))
 
 
 # -- characteristic polynomial against the quadratic Moebius sum ------------
@@ -724,13 +825,14 @@ def charpoly_cases():
     return cases
 
 
-def _mutant_charpoly(old: str, new: str):
-    """_charpoly with one piece of its source replaced."""
-    src = inspect.getsource(_charpoly)
-    assert old in src
+def _mutant(fn, old: str, new: str):
+    """The arrangement-module function fn with one piece of its source
+    replaced."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
     namespace = dict(vars(arrangement))
     exec(src.replace(old, new), namespace)
-    return namespace["_charpoly"]
+    return namespace[fn.__name__]
 
 
 def test_charpoly_matches_moebius_reference(charpoly_cases):
@@ -742,9 +844,9 @@ def test_charpoly_matches_moebius_reference(charpoly_cases):
 def test_broken_charpoly_is_caught(charpoly_cases):
     broken = (
         # the Weisner sum over every coatom, those through a included
-        _mutant_charpoly("rest = x & (x - 1)", "rest = x"),
+        _mutant(_charpoly, "rest = x & (x - 1)", "rest = x"),
         # mu = |X| at rank 2
-        _mutant_charpoly("x.bit_count() - 1 if", "x.bit_count() if"),
+        _mutant(_charpoly, "x.bit_count() - 1 if", "x.bit_count() if"),
     )
     for charpoly in broken:
         assert any(charpoly(levels, dim) != _reference_charpoly(levels, dim)

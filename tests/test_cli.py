@@ -108,6 +108,16 @@ def test_induce_search_refuses_canonical_options(capsys, tmp_path, argv):
         "not used without --order canonical" in err, err
 
 
+def test_induce_canonical_refuses_force(capsys, tmp_path):
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
+    code, out, err = run(capsys, "induce", path, "--order", "canonical",
+                         "--r", "3", "--ell", "3", "--force", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --force: not used with --order canonical")
+    # the search takes it
+    assert run(capsys, "induce", path, "--force")[0] == 0
+
+
 def test_exponents(capsys, tmp_path):
     path = build(capsys, tmp_path, "a.arr",
                  "--family", "intermediate", "--r", "3", "--ell", "3",
@@ -560,6 +570,17 @@ def test_classify(capsys):
                 for c in payload["cells"]}
     assert verdicts[(3, 0)] is False and verdicts[(3, 1)] is True
     assert run(capsys, "classify", "--r", "1", "--max-ell", "3")[0] == 2
+
+
+@pytest.mark.parametrize("max_ell", ["-5", "0", "1"])
+def test_classify_refuses_max_ell_below_two(capsys, monkeypatch, max_ell):
+    swept = []
+    monkeypatch.setattr(cli, "intermediate",
+                        lambda *args: swept.append(args))
+    code, out, err = run(capsys, "classify", "--r", "3", "--max-ell",
+                         max_ell, "--json")
+    assert code == 2 and out == "" and swept == []
+    assert err.startswith(f"error: --max-ell {max_ell}: need at least 2"), err
 
 
 def test_hereditary(capsys, tmp_path):
