@@ -7,8 +7,9 @@ invariant for central arrangements.  Each flat is found once.  Above rank
 2 most of its members are read off the lines (rank-2 flats) through two
 of its members, with no arithmetic; the rest pass a probe vector modulo a
 fixed prime (a rejection mod p is always a true rejection) and are
-confirmed exactly.  The probes read rref bases modulo the prime; an exact
-basis is computed only for a flat whose candidates need confirming.
+confirmed exactly.  Only the levels carry over from one rank to the next:
+a flat's rref bases, modulo the prime for its probes and exact for its
+confirmations, are spanned from its atoms when it is probed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import mul, or_
 
 from arrfree.cyclotomic import (
@@ -602,10 +602,11 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     needs no arithmetic.  The probe of Y is the completeness filter: a
     hyperplane it rejects is no member, and a candidate that passes it
     and no line certifies is confirmed exactly against X's rref basis,
-    computed from X's atoms when first needed.  The probes read rref bases
-    over F_P, each made by inserting the image of cov_i into X's; a flat
-    whose insert falls into the span mod P, or an order with no root in
-    F_P, takes the all-exact path."""
+    computed from X's atoms when first needed.  The probes read X's rref
+    basis over F_P, spanned from its atoms only when some hyperplane is
+    left to probe, so a resumed build runs as a fresh one; a flat whose
+    atoms span less than its rank mod P, or an order with no root in F_P,
+    takes the exact path."""
     m = len(arr)
     covs = [h.coeffs for h in arr.hyperplanes]
     root = _mod_root(arr.order)
@@ -614,22 +615,19 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     limit = arr.dim if max_rank is None else max_rank
     levels = list(levels)
     k = len(levels) - 1
-    current = [(x, None if mcovs is None else _mod_span(mcovs, x, k))
-               for x in levels[k]]
     lines = None
     full = (1 << m) - 1
-    while current and k < limit:
+    while k < limit:
         if k >= 2 and lines is None:
             lines = _line_table(m, levels[2])
         k += 1
-        generating = k < limit
         found = []
         by_atom: list = [[] for _ in range(m)]
-        nxt = []
-        for x, basis in current:
+        for x in levels[k - 1]:
             rest = full & ~_above(x, by_atom)
-            keys = (_probe_keys(*basis, mcovs, rest)
-                    if basis is not None and rest else None)
+            basis = (_mod_span(mcovs, x, k - 1)
+                     if mcovs is not None and rest else None)
+            keys = None if basis is None else _probe_keys(*basis, mcovs, rest)
             groups: dict = {}
             for j, key in (keys or {}).items():
                 groups[key] = groups.get(key, 0) | 1 << j
@@ -665,9 +663,6 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
                     for j in _bits(cand):
                         if _same_line(_reduce(covs[j], rows, pivots), red, q):
                             mask |= 1 << j
-                if generating:
-                    nxt.append((mask, None if basis is None
-                                else _mod_insert(*basis, mcovs[i])))
                 rest &= ~mask
                 found.append(mask)
                 for a in _bits(mask):
@@ -675,7 +670,6 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
         if not found:
             break
         levels.append(tuple(sorted(found)))
-        current = sorted(nxt)
     return tuple(levels)
 
 
@@ -823,17 +817,6 @@ def _permute_mask(mask: int, perm) -> int:
     return out
 
 
-def _line_size_matrix(m: int, line_masks):
-    mat = [[0] * m for _ in range(m)]
-    for mask in line_masks:
-        atoms = list(_bits(mask))
-        s = len(atoms)
-        for i, j in combinations(atoms, 2):
-            mat[i][j] = s
-            mat[j][i] = s
-    return mat
-
-
 def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
     """Exact combinatorial isomorphism of the two intersection lattices."""
     m = len(a)
@@ -851,8 +834,9 @@ def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
         return False
     if la.rank < 2:
         return True
-    lsa = _line_size_matrix(m, la.levels[2])
-    lsb = _line_size_matrix(m, lb.levels[2])
+    # two atoms are compared by the size of the line through them
+    lsa = _line_table(m, la.levels[2])
+    lsb = _line_table(m, lb.levels[2])
     by_color: dict[tuple, list[int]] = {}
     for j, c in enumerate(colb):
         by_color.setdefault(c, []).append(j)
@@ -873,7 +857,7 @@ def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:
             ok = True
             for q in range(pos):
                 j = order[q]
-                if lsa[i][j] != lsb[x][sigma[j]]:
+                if lsa[i][j].bit_count() != lsb[x][sigma[j]].bit_count():
                     ok = False
                     break
             if ok:

@@ -28,7 +28,6 @@ from .catalog import (
     InvalidParameter,
     canonical_induction_order,
     group,
-    group_names,
     intermediate,
     reflection_arrangement,
     restriction_by_type,
@@ -267,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--family", choices=["intermediate"],
                       help="parametric family")
     kind.add_argument("--group", metavar="NAME",
-                      help=f"shipped reflection group"
-                           f" ({', '.join(group_names())})")
+                      help="shipped reflection group, e.g. G33 (an"
+                           " unknown name lists them all)")
     b.add_argument("--r", type=int, help="root-of-unity order")
     b.add_argument("--ell", type=int, help="dimension")
     b.add_argument("--k", type=int, help="number of coordinate hyperplanes")

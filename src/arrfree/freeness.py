@@ -171,6 +171,16 @@ class NotIF:
 _MISSING = object()
 
 
+def _lines_through(m: int, lines) -> list:
+    """through[i]: the lines through atom i, in the order of lines, which
+    numbers the atoms of the restriction to i (``_contract``)."""
+    through = [[] for _ in range(m)]
+    for line in lines:
+        for i in _bits(line):
+            through[i].append(line)
+    return through
+
+
 def _low_rank_chain(dim, atoms):
     # any order certifies a rank <= 2 arrangement: every hyperplane
     # contains the common center, so each restriction is empty (first
@@ -201,10 +211,9 @@ class _ChainSearch:
         self.dim = dim
         self.memo = {}
         self.exps = {}
-        self.through = {}
-        for line in levels[2] if len(levels) > 2 else ():
-            for i in _bits(line):
-                self.through.setdefault(i, []).append(line)
+        # the center, the last flat, holds every atom
+        self.through = _lines_through(levels[-1][0].bit_length(),
+                                      levels[2] if len(levels) > 2 else ())
         self.restrictions = {}
 
     def decide(self, mask, cand):
@@ -223,7 +232,7 @@ class _ChainSearch:
         options = []
         for i in _bits(mask):
             rmask = 0
-            for j, line in enumerate(self.through.get(i, ())):
+            for j, line in enumerate(self.through[i]):
                 if line & mask & ~(1 << i):
                     rmask |= 1 << j
             rc = rmask.bit_count()
@@ -555,10 +564,7 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
             f"exponents {exps} are not a nonnegative splitting of the"
             f" cardinality {len(arr)}")
     m = len(arr)
-    through = [[] for _ in range(m)]
-    for line in arr.line_masks():
-        for i in _bits(line):
-            through[i].append(line)
+    through = _lines_through(m, arr.line_masks())
     moves: dict = {}
     # a state is keyed by the mask of its remaining hyperplanes and holds
     # the multisets that reach it and the restriction count of every

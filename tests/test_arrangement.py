@@ -25,7 +25,6 @@ from arrfree.arrangement import (
     _build_levels,
     _charpoly,
     _contract,
-    _line_size_matrix,
     _mod_root,
     _mod_vector,
     _permute_mask,
@@ -603,13 +602,20 @@ def test_top_rank_is_read_off_rank(monkeypatch):
     expected = _build_levels(g33)
     fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
     fresh.rank()  # its own rref is not the lattice's
-    inserts = []
+    spans = []
     exact = []
-    mod_insert, rref = arrangement._mod_insert, arrangement._rref
+    mod_span, probe_keys = arrangement._mod_span, arrangement._probe_keys
+    rref = arrangement._rref
 
-    def recording_insert(rows, pivots, vec):
-        inserts.append(len(rows) + 1)
-        return mod_insert(rows, pivots, vec)
+    def recording_span(mcovs, x, k):
+        spans.append([x, k, False])
+        return mod_span(mcovs, x, k)
+
+    def recording_probe(rows, pivots, mcovs, rest):
+        # a probe reads the basis spanned just before it
+        assert len(rows) == spans[-1][1] and not spans[-1][2]
+        spans[-1][2] = True
+        return probe_keys(rows, pivots, mcovs, rest)
 
     def recording_rref(vectors, rank=None):
         vectors = tuple(vectors)
@@ -617,15 +623,17 @@ def test_top_rank_is_read_off_rank(monkeypatch):
         return rref(vectors, rank)
 
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_mod_insert", recording_insert)
+        mp.setattr(arrangement, "_mod_span", recording_span)
+        mp.setattr(arrangement, "_probe_keys", recording_probe)
         mp.setattr(arrangement, "_rref", recording_rref)
         assert fresh.intersection_lattice().levels == expected
-    # the probe basis of each flat below rank r - 1 is made once, by
-    # inserting one hyperplane into a basis over F_P one rank lower; no
-    # rank-(r-1) flat gets one, since those flats generate only the centre
-    counts = Counter(inserts)
-    assert r - 1 not in counts
-    assert counts == {k: len(expected[k]) for k in range(1, r - 1)}
+    # each flat below rank r - 1 that is probed spans one basis over F_P
+    # from its atoms, and every basis spanned is probed; no rank-(r-1) flat
+    # spans one, since those flats generate only the centre
+    assert all(probed for _, _, probed in spans)
+    assert len({x for x, _, _ in spans}) == len(spans)
+    assert all(x in expected[k] for x, k, _ in spans)
+    assert {k for _, k, _ in spans} == set(range(r - 1))
     # an exact basis is computed from a flat's atoms at most once, and only
     # for a flat below rank r - 1, whose candidates it confirms
     assert exact and len(set(exact)) == len(exact)
@@ -724,15 +732,16 @@ def test_broken_line_certification_is_caught(kernel_cases, monkeypatch):
     )
     for build in broken:
         assert not _builds_as_reference(kernel_cases, build)
-    # a probe basis over F_P that misses cov_i
+    # a probe basis over F_P one row short of its flat's rank
+    mod_span = arrangement._mod_span
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_mod_insert",
-                   lambda rows, pivots, vec: (rows, pivots))
+        mp.setattr(arrangement, "_mod_span",
+                   lambda mcovs, x, k: mod_span(mcovs, x, max(k - 1, 0)))
         assert not _builds_as_reference(kernel_cases)
 
 
 def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
-    # a flat whose insert mod P reports a dependence has no probe basis,
+    # a flat whose atoms span less than its rank mod P has no probe basis,
     # and the flats it generates are confirmed without a probe
     mod_insert = arrangement._mod_insert
     calls = []
@@ -745,10 +754,30 @@ def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
 
     monkeypatch.setattr(arrangement, "_mod_insert", flaky)
     assert _builds_as_reference(kernel_cases)
-    # resumed from rank 2, with the probe bases spanned by the atoms
+    # resumed from rank 2
     for arr, r, expected in kernel_cases[-2:]:
         assert _build_levels(arr, r, expected[:3]) == expected
     assert len(calls) > 300
+
+
+def test_resumed_build_probes_as_a_fresh_one(monkeypatch):
+    probes = []
+    probe_keys = arrangement._probe_keys
+
+    def recording(rows, pivots, mcovs, rest):
+        probes.append((rows, pivots, rest))
+        return probe_keys(rows, pivots, mcovs, rest)
+
+    monkeypatch.setattr(arrangement, "_probe_keys", recording)
+    for name in ("G28", "G32"):
+        g = reflection_arrangement(name)
+        probes.clear()
+        whole = _build_levels(g, 3)
+        fresh = probes.copy()
+        probes.clear()
+        resumed = _build_levels(g, 3, _build_levels(g, 2))
+        assert resumed == whole
+        assert probes == fresh
 
 
 def test_lines_leave_few_exact_confirmations(monkeypatch):
@@ -977,6 +1006,15 @@ def _reference_wl_colors(m: int, levels):
             break
         colors = new
     return colors
+
+
+def _line_size_matrix(m: int, line_masks):
+    mat = [[0] * m for _ in range(m)]
+    for mask in line_masks:
+        atoms = list(_bits(mask))
+        for i, j in combinations(atoms, 2):
+            mat[i][j] = mat[j][i] = len(atoms)
+    return mat
 
 
 def _reference_isomorphic(a: Arrangement, b: Arrangement) -> bool:

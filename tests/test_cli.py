@@ -557,6 +557,22 @@ def test_parser_is_built_once_and_handlers_are_looked_up_per_call(
     assert cli._build_parser.cache_info().misses == 1
 
 
+def test_commands_without_a_group_do_not_read_the_catalog(
+        capsys, monkeypatch, tmp_path):
+    path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
+
+    def unreadable():
+        raise RuntimeError("catalog read")
+
+    monkeypatch.setattr(catalog, "_shipped_catalog", unreadable)
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, "verify-table", str(FIXTURES / "g29_a1.tbl"))
+    assert code == 0 and "1,9,11" in out
+    code, out, _ = run(capsys, "induce", path)
+    assert code == 0
+    assert verify_induction_table(InductionTable.parse(out)).ok
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--r", "2", "--max-ell", "3")
     assert code == 0
