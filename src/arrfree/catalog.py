@@ -371,6 +371,8 @@ class FlatOrbitLabel:
 
 def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     """Orbits of the codim-flats under the group, one label per orbit."""
+    if codim < 0:
+        raise InvalidParameter(f"codim must be nonnegative, got {codim}")
     if isinstance(g, str):
         g = group(g)
     arr = reflection_arrangement(g)

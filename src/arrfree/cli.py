@@ -32,7 +32,7 @@ from .catalog import (
     reflection_arrangement,
     restriction_by_type,
 )
-from .cyclotomic import ArrfreeError, FormatError
+from .cyclotomic import MAX_DIM, ArrfreeError, FormatError
 from .freeness import (
     InductionTable,
     _read_exps,
@@ -201,8 +201,9 @@ def cmd_count_nec(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.max_ell < 2:
-        raise InvalidParameter(f"--max-ell {args.max_ell}: need at least 2")
+    if not 2 <= args.max_ell <= MAX_DIM:
+        raise InvalidParameter(f"--max-ell {args.max_ell}: need at least 2"
+                               f" and at most {MAX_DIM}")
     rows = []
     all_agree = True
     for ell in range(min(3, args.max_ell), args.max_ell + 1):

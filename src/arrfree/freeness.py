@@ -173,12 +173,30 @@ _MISSING = object()
 
 def _lines_through(m: int, lines) -> list:
     """through[i]: the lines through atom i, in the order of lines, which
-    numbers the atoms of the restriction to i (``_contract``)."""
+    numbers the atoms of the restriction to i (``_contract``).  _counts
+    gives each atom of mask the lines through it that keep another member
+    of mask, and -1 (asked for by no removal rule) to other atoms; _drop
+    updates them after removing i: j loses each line left with j alone."""
     through = [[] for _ in range(m)]
     for line in lines:
         for i in _bits(line):
             through[i].append(line)
     return through
+
+
+def _counts(mask, through) -> list:
+    return [sum(1 for line in t if line & mask & ~(1 << i))
+            if mask >> i & 1 else -1 for i, t in enumerate(through)]
+
+
+def _drop(counts, i, left, through) -> list:
+    child = counts.copy()
+    child[i] = -1
+    for line in through[i]:
+        r = line & left
+        if r and not r & (r - 1):
+            child[r.bit_length() - 1] -= 1
+    return child
 
 
 def _low_rank_chain(dim, atoms):
@@ -191,18 +209,18 @@ def _low_rank_chain(dim, atoms):
         rexp = (0,) * (dim - 1) if n == 0 else (0,) * (dim - 2) + (1,)
         steps.append((i, exps, rexp))
         exps = _chain_step(exps, rexp)
-    return tuple(steps), exps
+    return tuple(steps)
 
 
 class _ChainSearch:
     """Memoised addition-chain search on the subarrangements (masks of
-    atoms) of one lattice.  decide(mask, cand), cand being the roots of
-    the subarrangement's characteristic polynomial or None when it does
-    not split, gives (steps, exponents), a step being (atom, exponents
-    before, restriction exponents), or None.  The restriction of B to
-    atom i is, in the lattice contracted at i, the lines through i that
-    keep a second member of B; exps maps a subarrangement's mask to its
-    roots, computed once for the restriction searches."""
+    atoms) of one lattice.  decide(mask, cand, counts), cand being the
+    (split) roots of the subarrangement's characteristic polynomial,
+    gives the steps (atom, exponents before, restriction exponents) of a
+    chain that ends at cand, or None.  The restriction to atom i is, in
+    the lattice contracted at i, the lines through i that keep a second
+    member of the mask; counts, from _counts at a root, reach a child by
+    _drop.  exps memoises a mask's roots for the restriction searches."""
 
     __slots__ = ("levels", "dim", "memo", "exps", "through", "restrictions")
 
@@ -216,30 +234,22 @@ class _ChainSearch:
                                       levels[2] if len(levels) > 2 else ())
         self.restrictions = {}
 
-    def decide(self, mask, cand):
+    def decide(self, mask, cand, counts=None):
         hit = self.memo.get(mask, _MISSING)
         if hit is _MISSING:
-            hit = self.memo[mask] = self._search(mask, cand)
+            hit = self.memo[mask] = self._search(mask, cand, _counts(
+                mask, self.through) if counts is None else counts)
         return hit
 
-    def _search(self, mask, cand):
-        if cand is None:
-            return None
+    def _search(self, mask, cand, counts):
         if cand.count(0) >= self.dim - 2:
             # dim - rank roots are 0: rank <= 2, which always splits
             return _low_rank_chain(self.dim, _bits(mask))
         moves = _removal_moves(cand)
-        options = []
-        for i in _bits(mask):
-            rmask = 0
-            for j, line in enumerate(self.through[i]):
-                if line & mask & ~(1 << i):
-                    rmask |= 1 << j
-            rc = rmask.bit_count()
-            if rc in moves:
-                options.append((rc, i, rmask))
-        options.sort()
-        for _, i, rmask in options:
+        for _, i in sorted((c, i) for i, c in enumerate(counts) if c in moves):
+            left = mask & ~(1 << i)
+            rmask = sum(1 << j for j, line in enumerate(self.through[i])
+                        if line & left)
             restr = self.restrictions.get(i)
             if restr is None:
                 restr = self.restrictions[i] = _ChainSearch(
@@ -255,13 +265,9 @@ class _ChainSearch:
             dexp = _chain_step(cand, rexp, -1)
             if dexp is None or restr.decide(rmask, rexp) is None:
                 continue
-            child = self.decide(mask & ~(1 << i), dexp)
-            if child is None:
-                continue
-            csteps, cexps = child
-            nxt = _chain_step(cexps, rexp)
-            if nxt is not None:
-                return csteps + ((i, cexps, rexp),), nxt
+            sub = self.decide(left, dexp, _drop(counts, i, left, self.through))
+            if sub is not None:
+                return sub + ((i, dexp, rexp),)
         return None
 
 
@@ -290,10 +296,9 @@ def _decide(arr: Arrangement):
     search = _ChainSearch(arr.intersection_lattice().levels, arr.dim)
     res = search.decide((1 << len(arr)) - 1, top)
     if res is not None:
-        steps = [InductionStep(arr.hyperplanes[i], before, rexp)
-                 for i, before, rexp in res[0]]
+        steps = [InductionStep(arr.hyperplanes[i], b, r) for i, b, r in res]
         return InductionCertificate(Arrangement(arr.dim, (), arr.order),
-                                    steps, res[1])
+                                    steps, top)
     level = None
     if arr.rank() >= 4:
         level = necessary_condition_counts(arr, exponents=top).death_level
@@ -567,9 +572,9 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
     through = _lines_through(m, arr.line_masks())
     moves: dict = {}
     # a state is keyed by the mask of its remaining hyperplanes and holds
-    # the multisets that reach it and the restriction count of every
-    # hyperplane, -1 for a removed one (no removal rule asks for -1)
-    states = {(1 << m) - 1: ([len(t) for t in through], {exps})}
+    # its restriction counts (_counts, then _drop) and the multisets
+    # that reach it
+    states = {(1 << m) - 1: (_counts((1 << m) - 1, through), {exps})}
     levels = []
     n = 0
     while states:
@@ -590,19 +595,10 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
                 for _ in range(counts.count(rc)):
                     i = counts.index(rc, i + 1)
                     left = remaining ^ (1 << i)
-                    hit = nxt.get(left)
-                    if hit is not None:
-                        hit[1].update(news)
-                        continue
-                    # only lines through i change: one whose last two
-                    # remaining members were i and j stops counting for j
-                    child = counts.copy()
-                    child[i] = -1
-                    for line in through[i]:
-                        r = line & left
-                        if r and not r & (r - 1):
-                            child[r.bit_length() - 1] -= 1
-                    nxt[left] = (child, set(news))
+                    if left in nxt:
+                        nxt[left][1].update(news)
+                    else:
+                        nxt[left] = _drop(counts, i, left, through), set(news)
         union = sorted({ms for _, msets in nxt.values() for ms in msets})
         levels.append(NecLevel(n, len(nxt), tuple(union)))
         states = nxt
@@ -744,5 +740,6 @@ def hereditarily_inductively_free(arr: Arrangement,
             search = _ChainSearch(contracted, rest_dim)
             center = contracted[-1][0]
             cand = _sub_exponents(contracted, center, rest_dim)
-            verdicts[mask] = search.decide(center, cand) is not None
+            verdicts[mask] = (cand is not None
+                              and search.decide(center, cand) is not None)
     return HereditaryReport(all(verdicts.values()), verdicts, arr)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from arrfree.arrangement import Hyperplane, ZeroDimensional, lattice_isomorphic
+from arrfree.arrangement import (Hyperplane, RankLimit, ZeroDimensional,
+                                 lattice_isomorphic)
 from arrfree.catalog import (
     AmbiguousType,
     CatalogDataError,
@@ -167,6 +168,13 @@ def test_flat_orbits_of_monomial():
     assert all(lab.count == 3 for lab in lines)
     top = flat_orbits(g, 0)
     assert len(top) == 1 and top[0].tag == "empty"
+
+
+def test_flat_orbits_refuse_codims_out_of_range():
+    with pytest.raises(InvalidParameter, match="codim must be nonnegative"):
+        flat_orbits("G25", -1)
+    with pytest.raises(RankLimit):
+        flat_orbits("G25", 4)
 
 
 def test_canonical_induction_order_structure():

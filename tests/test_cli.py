@@ -599,6 +599,19 @@ def test_classify_refuses_max_ell_below_two(capsys, monkeypatch, max_ell):
     assert err.startswith(f"error: --max-ell {max_ell}: need at least 2"), err
 
 
+@pytest.mark.parametrize("max_ell", [str(MAX_DIM + 1), "1000"])
+def test_classify_refuses_max_ell_above_max_dim(capsys, monkeypatch,
+                                                max_ell):
+    # refused before the sweep, so no cell is decided, even with --force
+    decided = []
+    monkeypatch.setattr(cli, "is_inductively_free",
+                        lambda *args, **kwargs: decided.append(args))
+    code, out, err = run(capsys, "classify", "--r", "2", "--max-ell",
+                         max_ell, "--force", "--json")
+    assert code == 2 and out == "" and decided == []
+    assert f"at most {MAX_DIM}" in err, err
+
+
 def test_hereditary(capsys, tmp_path):
     path = build(capsys, tmp_path, "a.arr",
                  "--family", "intermediate", "--r", "3", "--ell", "4",

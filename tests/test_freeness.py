@@ -712,16 +712,17 @@ def _check_search_against_exact():
                          "census"}, seen
 
 
-def test_passed_down_exponents_match_the_lattice(monkeypatch):
-    # every node's roots, read off its parent by deletion-restriction,
-    # equal the Moebius roots of its own subarrangement
+def _walk_search_nodes(monkeypatch, check):
+    """Run check(search, mask, cand, counts) at every node that a search
+    expands, over the oracle inputs (decision and hereditary) and G33/A1;
+    returns the number of nodes."""
     search = _ChainSearch._search
     nodes = []
 
-    def checked(self, mask, cand):
-        assert cand == _sub_exponents(self.levels, mask, self.dim)
+    def checked(self, mask, cand, counts):
+        check(self, mask, cand, counts)
         nodes.append(mask)
-        return search(self, mask, cand)
+        return search(self, mask, cand, counts)
 
     monkeypatch.setattr(_ChainSearch, "_search", checked)
     for arr in _oracle_inputs():
@@ -729,7 +730,66 @@ def test_passed_down_exponents_match_the_lattice(monkeypatch):
         hereditarily_inductively_free(arr)
     res = _decide(restriction_by_type(group("G33"), "A1"))
     assert not res and res.explored == 517
-    assert len(nodes) > 517
+    return len(nodes)
+
+
+def test_passed_down_exponents_match_the_lattice(monkeypatch):
+    # every node's roots, read off its parent by deletion-restriction,
+    # equal the Moebius roots of its own subarrangement
+    def check(search, mask, cand, counts):
+        assert cand == _sub_exponents(search.levels, mask, search.dim)
+
+    assert _walk_search_nodes(monkeypatch, check) > 517
+
+
+def _recounted_counts(levels, mask):
+    """Each atom's restriction count in mask, counted from every line as
+    _reference_decide counts it; -1 for an atom not in mask."""
+    lines = levels[2] if len(levels) > 2 else ()
+    return [sum(1 for L in lines if L >> i & 1 and (L & mask).bit_count() >= 2)
+            if mask >> i & 1 else -1
+            for i in range(levels[-1][0].bit_length())]
+
+
+def _check_carried_counts(monkeypatch):
+    def check(search, mask, cand, counts):
+        assert counts == _recounted_counts(search.levels, mask), \
+            f"carried counts differ at mask {mask:#x}"
+
+    return _walk_search_nodes(monkeypatch, check)
+
+
+def test_carried_counts_match_a_recount(monkeypatch):
+    # a root counts its atoms' lines afresh, every other node carries its
+    # parent's counts through _drop, the census's update
+    assert _check_carried_counts(monkeypatch) > 517
+
+
+def test_broken_count_updates_are_caught(monkeypatch):
+    drop = freeness._drop
+
+    def no_decrement(counts, i, left, through):
+        child = counts.copy()
+        child[i] = -1
+        return child
+
+    def removed_atom_kept(counts, i, left, through):
+        child = drop(counts, i, left, through)
+        child[i] = counts[i]
+        return child
+
+    def parent_counts(counts, i, left, through):
+        return counts
+
+    # the census shares the update, so its levels go wrong as well
+    arr = intermediate(2, 4, 1)
+    want = _reference_census(arr, arr.candidate_exponents())[0].payload()
+    for variant in (no_decrement, removed_atom_kept, parent_counts):
+        with monkeypatch.context() as mp:
+            mp.setattr(freeness, "_drop", variant)
+            with pytest.raises(AssertionError, match="carried counts"):
+                _check_carried_counts(mp)
+            assert necessary_condition_counts(arr).payload() != want
 
 
 def test_restriction_exponents_are_computed_once(monkeypatch):
