@@ -140,7 +140,7 @@ def _rref(vectors, rank=None):
 class Hyperplane:
     """A linear hyperplane, stored as a normalized covector."""
 
-    __slots__ = ("coeffs", "order", "_key", "_hash")
+    __slots__ = ("coeffs", "order", "_key")
 
     def __init__(self, coeffs, order: int = 1):
         vals = []
@@ -164,7 +164,6 @@ class Hyperplane:
         self.coeffs = tuple(vals)
         self.order = order
         self._key = None
-        self._hash = None
 
     @classmethod
     def parse(cls, text: str, order: int, dim: int) -> "Hyperplane":
@@ -198,9 +197,7 @@ class Hyperplane:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.coeffs)
-        return self._hash
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Hyperplane({self.form()!r})"
@@ -310,8 +307,6 @@ class Arrangement:
             return NotImplemented
         if self.dim != other.dim or len(self) != len(other):
             return False
-        if self.order == other.order:
-            return self.hyperplanes == other.hyperplanes
         n = math.lcm(self.order, other.order)
         a = sorted(h.promoted(n).key() for h in self.hyperplanes)
         b = sorted(h.promoted(n).key() for h in other.hyperplanes)
@@ -457,7 +452,7 @@ class Arrangement:
     def to_text(self) -> str:
         lines = [f"arr v1 dim={self.dim} zeta={self.order}"]
         for h in self.hyperplanes:
-            lines.append(", ".join(str(c) for c in h.coeffs))
+            lines.append(", ".join(h.key()))
         return "\n".join(lines) + "\n"
 
     @classmethod

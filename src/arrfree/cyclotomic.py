@@ -209,7 +209,7 @@ def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
 class Cyc:
     """An exact element of Q(zeta_order)."""
 
-    __slots__ = ("order", "num", "den", "_hash")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs=0, den: int = 1):
         if order < 1:
@@ -227,7 +227,6 @@ class Cyc:
         num = tuple(int(v * scale) for v in vals)
         self.num, self.den = _normalize(num, scale)
         self.order = order
-        self._hash = None
 
     # fast internal constructor, trusts its arguments
     @staticmethod
@@ -236,7 +235,6 @@ class Cyc:
         self.order = order
         self.num = num
         self.den = den
-        self._hash = None
         return self
 
     @staticmethod
@@ -364,8 +362,6 @@ class Cyc:
         other = _coerce(other, self.order)
         if other is None:
             return NotImplemented
-        if other.order == self.order:
-            return self.num == other.num and self.den == other.den
         a, b = self._align(other)
         return a.num == b.num and a.den == b.den
 
@@ -383,19 +379,16 @@ class Cyc:
         z^(n/d).  Tr / phi(n) is the same in every field holding x, and the
         trace form is nondegenerate, so the key is the same at every order
         and tells apart the values of Q(zeta_d)."""
-        if self._hash is None:
-            n, num = self.order, self.num
-            if not any(num[1:]):
-                self._hash = hash(Fraction(num[0], self.den))
-            else:
-                d = self._conductor()
-                c, step = _ramanujan(n), n // d
-                traces = tuple(
-                    sum(a * c[(i - j * step) % n] for i, a in enumerate(num))
-                    for j in range(_degree(d)))
-                phi = len(num)
-                self._hash = hash((d, *_normalize(traces, self.den * phi)))
-        return self._hash
+        n, num = self.order, self.num
+        if not any(num[1:]):
+            return hash(Fraction(num[0], self.den))
+        d = self._conductor()
+        c, step = _ramanujan(n), n // d
+        traces = tuple(
+            sum(a * c[(i - j * step) % n] for i, a in enumerate(num))
+            for j in range(_degree(d)))
+        phi = len(num)
+        return hash((d, *_normalize(traces, self.den * phi)))
 
     # -- rendering -----------------------------------------------------
 
@@ -551,10 +544,10 @@ class _Parser:
             k = _read_int(t)
             if k > MAX_ORDER:
                 raise FormatError(f"exponent {k} is above the cap {MAX_ORDER}")
-            out = _Lin(one(self.order))
-            for _ in range(k):
-                out = out.mul(val)
-            val = out
+            if not val.coeffs:
+                val = _Lin(val.const ** k)
+            elif k != 1:  # a square of coordinates raises in mul
+                val = val.mul(val) if k else _Lin(one(self.order))
         return val
 
     def atom(self) -> _Lin:

@@ -214,13 +214,14 @@ def _low_rank_chain(dim, atoms):
 
 class _ChainSearch:
     """Memoised addition-chain search on the subarrangements (masks of
-    atoms) of one lattice.  decide(mask, cand, counts), cand being the
+    atoms) of one lattice.  decide(mask, cand, parent), cand being the
     (split) roots of the subarrangement's characteristic polynomial,
     gives the steps (atom, exponents before, restriction exponents) of a
     chain that ends at cand, or None.  The restriction to atom i is, in
     the lattice contracted at i, the lines through i that keep a second
-    member of the mask; counts, from _counts at a root, reach a child by
-    _drop.  exps memoises a mask's roots for the restriction searches."""
+    member of the mask; a node's counts are made only on a memo miss,
+    by _counts at a root or by _drop from parent, its parent's (counts,
+    i).  exps memoises a mask's roots for the restriction searches."""
 
     __slots__ = ("levels", "dim", "memo", "exps", "through", "restrictions")
 
@@ -234,11 +235,12 @@ class _ChainSearch:
                                       levels[2] if len(levels) > 2 else ())
         self.restrictions = {}
 
-    def decide(self, mask, cand, counts=None):
+    def decide(self, mask, cand, parent=None):
         hit = self.memo.get(mask, _MISSING)
         if hit is _MISSING:
-            hit = self.memo[mask] = self._search(mask, cand, _counts(
-                mask, self.through) if counts is None else counts)
+            counts = (_counts(mask, self.through) if parent is None
+                      else _drop(*parent, mask, self.through))
+            hit = self.memo[mask] = self._search(mask, cand, counts)
         return hit
 
     def _search(self, mask, cand, counts):
@@ -265,7 +267,7 @@ class _ChainSearch:
             dexp = _chain_step(cand, rexp, -1)
             if dexp is None or restr.decide(rmask, rexp) is None:
                 continue
-            sub = self.decide(left, dexp, _drop(counts, i, left, self.through))
+            sub = self.decide(left, dexp, (counts, i))
             if sub is not None:
                 return sub + ((i, dexp, rexp),)
         return None

@@ -121,6 +121,10 @@ def test_arrangement_dedups_and_sorts():
     b = Arrangement(2, [[1, 0], [1, 1]])
     assert a == b
     assert hash(a) == hash(b)
+    # one order and one size, one hyperplane apart
+    c = Arrangement(2, [[1, 0], [1, -1]])
+    assert len(c) == len(b) and c.order == b.order
+    assert a != c and c != b
 
 
 def test_arrangement_mixed_orders_promote():

@@ -155,6 +155,8 @@ def test_parse_handles_parentheses_and_powers():
     assert parse_scalar("2^3", 1) == 8
     assert parse_scalar("-(z + 1)", 3) == -(w + 1)
     assert parse_scalar("z^4", 4) == 1
+    assert parse_scalar("0^0", 5) == 1
+    assert parse_scalar("(z^2)^3", 5) == root_of_unity(5)
 
 
 def test_parse_rejects_malformed_input():
@@ -166,14 +168,38 @@ def test_parse_rejects_malformed_input():
 
 
 def test_parse_input_caps():
-    # one above each cap; deeper nesting used to overflow the stack, and
-    # every power costs one product
+    # one above each cap; deeper nesting used to overflow the stack
     deep = MAX_NESTING + 1
     for text in ("(" * deep + "1" + ")" * deep, f"z^{MAX_ORDER + 1}"):
         with pytest.raises(FormatError, match="above the cap"):
             parse_scalar(text, 3)
     with pytest.raises(FormatError, match="above the cap"):
         check_header(26, 1)
+
+
+def test_constant_powers_cost_log_many_products(monkeypatch):
+    # a constant base is raised by squaring, so 10 bytes of input cannot
+    # ask for a thousand field products
+    mul = Cyc.__mul__
+    calls = 0
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    got = parse_scalar("(z+1)^1000", 1000)
+    assert calls <= 2 * (1000).bit_length()
+    monkeypatch.setattr(Cyc, "__mul__", mul)
+    # the 1,000-fold product, taken as ten products of a 100-fold one
+    hundred = one(1000)
+    for _ in range(100):
+        hundred = hundred * (root_of_unity(1000) + 1)
+    want = one(1000)
+    for _ in range(10):
+        want = want * hundred
+    assert got == want
 
 
 def test_linear_form_parse_and_render():
@@ -204,8 +230,13 @@ def test_linear_form_rejections():
         parse_linear("d", 3, 3)
     with pytest.raises(FormatError):
         parse_scalar("a", 3)
-    with pytest.raises(FormatError):
-        parse_linear("(a + b)^2", 3, 3)
+    # a coordinate's power 0 is 1 and its power 1 itself; a higher one
+    # is a product of coordinates, also when the coordinate has weight 0
+    assert parse_linear("a^0*b + (z*c)^1", 3, 3) == \
+        (zero(3), one(3), root_of_unity(3))
+    for text in ("(a + b)^2", "(0*a)^2", "c^3"):
+        with pytest.raises(FormatError, match="not linear"):
+            parse_linear(text, 3, 3)
 
 
 def _random_value(rng: random.Random, order: int) -> Cyc:

@@ -792,6 +792,26 @@ def test_broken_count_updates_are_caught(monkeypatch):
             assert necessary_condition_counts(arr).payload() != want
 
 
+def test_counts_are_made_only_for_expanded_nodes(monkeypatch):
+    # a child's counts are made on a memo miss, so no search (nor the
+    # census) counts one subarrangement of one lattice twice
+    drop = freeness._drop
+    seen = set()
+
+    def once(counts, i, left, through):
+        assert (id(through), left) not in seen, f"mask {left:#x} recounted"
+        seen.add((id(through), left))
+        return drop(counts, i, left, through)
+
+    monkeypatch.setattr(freeness, "_drop", once)
+    for tag, explored in (("A1", 517), ("A1^2", 2388)):
+        arr = restriction_by_type(group("G33" if tag == "A1" else "G34"), tag)
+        seen.clear()
+        res = _decide(arr)
+        assert not res and res.explored == explored
+        assert seen
+
+
 def test_restriction_exponents_are_computed_once(monkeypatch):
     # a search computes each restriction's roots once per subarrangement;
     # the restriction searches, and so their levels, live through _decide
