@@ -280,7 +280,7 @@ class Arrangement:
         self.order = order
         self._lattice = None
         self._rank = None
-        self._partial = {0: ((0,),)}
+        self._partial = ((0,),)
 
     # -- basics ----------------------------------------------------------
 
@@ -400,7 +400,7 @@ class Arrangement:
         appended."""
         if self._lattice is None:
             r = self.rank()
-            levels = self._partial[max(self._partial)][:r]
+            levels = self._partial[:r]
             if len(levels) < r:
                 levels = _build_levels(self, r - 1, levels)
             levels = (*levels, ((1 << len(self)) - 1,))
@@ -416,16 +416,12 @@ class Arrangement:
         """Flat masks by rank up to max_rank, and bases[mask], the rref basis
         of a flat's annihilator, computed when read.
 
-        Cached; resumed from the deepest cached level, and served from the
-        full lattice when that has been built."""
-        if self._lattice is not None:
-            levels = self._lattice.levels
-        else:
-            depth = max(self._partial)
-            levels = self._partial[depth]
-            if depth < max_rank:
-                levels = _build_levels(self, max_rank, levels)
-                self._partial[max_rank] = levels
+        Cached: the deepest levels built, extended only when they hold too
+        few and do not end at the centre, or the full lattice once built."""
+        if (self._lattice is None and len(self._partial) <= max_rank
+                and self._partial[-1] != ((1 << len(self)) - 1,)):
+            self._partial = _build_levels(self, max_rank, self._partial)
+        levels = self._partial if self._lattice is None else self._lattice.levels
         return levels[:max_rank + 1], _Bases(self)
 
     def characteristic_polynomial(self) -> tuple[int, ...]:

@@ -112,13 +112,14 @@ class GroupPresentation:
                  generators):
         gens = []
         for mat in generators:
+            # _coerce gives None for an entry that is not a number
             rows = tuple(
-                tuple((c if isinstance(c, Cyc) else _coerce(c, order))
-                      .promote(order) for c in row)
+                tuple(c.promote(order) if isinstance(c, Cyc)
+                      else _coerce(c, order) for c in row)
                 for row in mat)
-            if len(rows) != dim or any(len(r) != dim for r in rows):
+            if len(rows) != dim or any(len(r) != dim or None in r for r in rows):
                 raise CatalogDataError(
-                    f"{name}: generator is not a {dim}x{dim} matrix")
+                    f"{name}: generator is not a {dim}x{dim} matrix of numbers")
             span, _ = _rref(rows)
             if len(span) != dim:
                 raise CatalogDataError(f"{name}: singular generator matrix")
@@ -175,6 +176,8 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
         if m:
             close_group()
             name = m.group(1)
+            if name in groups:
+                raise CatalogDataError(f"{name} line {lineno}: repeated group")
             try:
                 dim, order = check_header(m.group(2), m.group(3))
                 expected = _read_int(m.group(4))

@@ -305,9 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--exponents", type="exponent list", metavar="B1,B2,...",
                    help="starting exponents (default: computed from the"
                         " characteristic polynomial)")
-    c.add_argument("--threads", type=int,
-                   help="accepted for compatibility; the census is"
-                        " sequential and this has no effect")
 
     l = sub.add_parser("classify",
                        help="sweep the intermediate family against its"

@@ -16,6 +16,7 @@ report how many subarrangements the exhaustive search visited.
 """
 
 import re as _re
+from numbers import Real
 from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
@@ -38,6 +39,9 @@ class StaleCertificate(ArrfreeError, ValueError):
 # -- exponent multisets ------------------------------------------------------
 
 def _exps(values) -> tuple:
+    values = tuple(values)
+    if not all(isinstance(v, Real) and v % 1 == 0 for v in values):
+        raise ShapeError(f"exponents must be integers, got {values}")
     out = tuple(sorted(int(v) for v in values))
     if out and out[0] < 0:
         raise ShapeError("exponents must be nonnegative")
@@ -545,7 +549,7 @@ class NecCondReport:
         }
 
 
-def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
+def necessary_condition_counts(arr: Arrangement, exponents=None):
     """Count, level by level, the subsets that survive the removal test.
 
     At level n the scan holds every n-subset that can be removed one
@@ -554,9 +558,6 @@ def necessary_condition_counts(arr: Arrangement, exponents=None, threads=None):
     current exponents; the left-out entry then drops by one.  A final
     count of zero means every removal order eventually violates the
     condition.
-
-    The scan is sequential; threads is accepted for compatibility and
-    has no effect.
     """
     if exponents is None:
         exponents = arr.candidate_exponents()

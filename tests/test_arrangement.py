@@ -594,6 +594,26 @@ def test_partial_levels_resume(monkeypatch):
     assert starts == [0, 1, 2, 3]
 
 
+def test_partial_levels_stop_at_the_centre(monkeypatch):
+    builds = []
+
+    def recording(a, max_rank=None, levels=((0,),)):
+        builds.append(len(a))
+        return _build_levels(a, max_rank, levels)
+
+    monkeypatch.setattr(arrangement, "_build_levels", recording)
+    # rank 2, rank 1 and the empty arrangement: once the deepest level
+    # built is the centre, asking for more levels builds nothing
+    for arr, sizes in ((Arrangement(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+                        [1, 3, 1]),
+                       (Arrangement(3, [[1, 2, 0]]), [1, 1]),
+                       (Arrangement(3, []), [1])):
+        for max_rank in (2, 5, 5):
+            levels, _ = arr.partial_levels(max_rank)
+            assert [len(lv) for lv in levels] == sizes
+    assert builds == [3, 1]
+
+
 def test_top_rank_is_read_off_rank(monkeypatch):
     # non-essential (rank below dim), one hyperplane, the empty arrangement
     for arr in (braid_arrangement(3), braid_arrangement(4),

@@ -9,6 +9,7 @@ from arrfree.arrangement import (Hyperplane, RankLimit, ZeroDimensional,
 from arrfree.catalog import (
     AmbiguousType,
     CatalogDataError,
+    GroupPresentation,
     InvalidParameter,
     NoSuchType,
     _transform,
@@ -115,6 +116,13 @@ def test_group_loader_rejects_bad_data():
         load_groups("1, 0\n0, 1\n")
     with pytest.raises(CatalogDataError):
         load_groups("group X dim=2 zeta=1 hyperplanes=1\n")
+    # a repeated name is refused at its second header, not overwritten
+    block = "group X dim=2 zeta=1 hyperplanes=2\n-1, 0\n0, 1\n"
+    with pytest.raises(CatalogDataError, match="X line 7: repeated"):
+        load_groups(block + "0, 1\n1, 0\n\n" + block)
+    # an entry that is not a number names its group
+    with pytest.raises(CatalogDataError, match="^Y: .*matrix of numbers"):
+        GroupPresentation("Y", 2, 1, 2, [[["a", 0], [0, 1]]])
 
 
 def test_group_loader_checks_its_header():

@@ -382,9 +382,14 @@ def test_count_nec(capsys, tmp_path):
         run(capsys, "count-nec", str(boolean), "--exponents", "0,1,x")
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "--exponents" in err and "'0,1,x'" in err
-    j1 = run(capsys, "count-nec", str(boolean), "--json", "--threads", "1")
-    j2 = run(capsys, "count-nec", str(boolean), "--json", "--threads", "2")
+    j1 = run(capsys, "count-nec", str(boolean), "--json")
+    j2 = run(capsys, "count-nec", str(boolean), "--json")
     assert j1[0] == j2[0] == 0 and j1[1] == j2[1]
+    # the census is sequential: --threads is no option of count-nec
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "count-nec", str(boolean), "--threads", "2")
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--threads" in err
 
 
 def test_count_nec_refutes_g34_a1(capsys, tmp_path):

@@ -70,6 +70,13 @@ def test_check_triple():
         check_triple((1, 4, 6), (1, 4), (1, 4))
     with pytest.raises(ShapeError):
         check_triple((1, 4, 6), (1, 4, 5), (1, 4, 5))
+    # an entry that is not an integer is refused, not truncated; an
+    # integral float reads as its integer, and a generator is read once
+    with pytest.raises(ShapeError, match="integers"):
+        check_triple([1, 4, 5.7], [1, 4, 4], [1, 4])
+    with pytest.raises(ShapeError, match="integers"):
+        check_triple([1, 4, "6"], [1, 4, 5], [1, 4])
+    assert check_triple([1, 4, 6.0], (e for e in (1, 4, 5)), [1, 4])
 
 
 def _without_submultiset(exps, sub):
@@ -366,13 +373,24 @@ def test_census_death_levels():
         assert report.death_level == level, gname
 
 
-def test_scan_is_thread_deterministic():
+def test_scan_is_deterministic():
     arr = intermediate(2, 4, 1)
-    payloads = set()
-    for threads in (None, 2, 8):
-        report = necessary_condition_counts(arr, threads=threads)
-        payloads.add(json.dumps(report.payload(), sort_keys=True))
+    payloads = {json.dumps(necessary_condition_counts(arr).payload(),
+                           sort_keys=True) for _ in range(3)}
     assert len(payloads) == 1
+    # the census is sequential and takes no thread count
+    with pytest.raises(TypeError):
+        necessary_condition_counts(arr, threads=2)
+
+
+def test_census_refuses_exponents_that_are_not_integers():
+    arr = intermediate(3, 3, 1)
+    with pytest.raises(ShapeError, match="integers"):
+        necessary_condition_counts(arr, exponents=(1.9, 4.2, 5))
+    report = necessary_condition_counts(arr, exponents=(1, 4, 5.0))
+    assert report.exponents == (1, 4, 5)
+    assert report.payload() == necessary_condition_counts(
+        arr, exponents=iter((5, 4, 1))).payload()
 
 
 def _reference_census(arr, exponents):

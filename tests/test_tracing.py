@@ -69,6 +69,22 @@ print(json.dumps({
     "flats": first["arrangement.flats"] + second["arrangement.flats"]}))
 """
 
+RESUME_SCRIPT = r"""
+import json
+import arrfree.cli  # the tracer wraps names in every module, the CLI's too
+from arrfree.arrangement import Arrangement
+from tracing import Tracer, layer_metrics
+
+tracer = Tracer()
+tracer.install()
+arr = Arrangement(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+sizes = [[len(lv) for lv in arr.partial_levels(r)[0]] for r in (2, 5, 5)]
+metrics = layer_metrics([tracer.take()])
+print(json.dumps({"sizes": sizes,
+                  "builds": metrics["arrangement.lattice_builds"],
+                  "flats": metrics["arrangement.flats"]}))
+"""
+
 
 def _traced(script: str, *argv) -> dict:
     """The JSON line a script prints when run under the tracer in a fresh
@@ -96,3 +112,12 @@ def test_tracer_counts_lattice_builds_and_flats():
     # partial_levels(2) builds once, and the full lattice once more
     assert report["builds"] == [1, 2]
     assert report["flats"] == sum(partial) + sum(full)
+
+
+def test_tracer_counts_no_build_past_the_rank():
+    # a rank-2 arrangement has all its levels after partial_levels(2), so
+    # asking for more levels adds none and is not counted as a build
+    report = _traced(RESUME_SCRIPT)
+    assert report["sizes"] == [[1, 3, 1]] * 3
+    assert report["builds"] == 1
+    assert report["flats"] == 5
