@@ -3,26 +3,27 @@
 Hyperplanes are normalized covectors (first nonzero entry 1).  The
 intersection lattice is built level by level; every flat is identified by
 the bitmask of the hyperplanes containing it, which is a complete
-invariant for central arrangements.  Each flat is found once.  Above rank
-2 most of its members are read off the lines (rank-2 flats) through two
-of its members, with no arithmetic; the rest pass a probe vector modulo a
-fixed prime (a rejection mod p is always a true rejection) and are
-confirmed exactly.  Only the levels carry over from one rank to the next:
-a flat's rref bases, modulo the prime for its probes and exact for its
-confirmations, are spanned from its atoms when it is probed.
+invariant for central arrangements.  Each flat is found once: the flats
+just above a flat X are the classes of the hyperplanes outside X under
+one key each, the covector modulo X's rref basis, scaled to lead with 1.
+The keys are read modulo a fixed prime P when a norm bound, checked once
+per build, shows that ranks mod P are the exact ranks, and are computed
+exactly otherwise.  Only the levels carry over from one rank to the next.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache, reduce
-from operator import mul, or_
+from functools import lru_cache
+from operator import mul
 
 from arrfree.cyclotomic import (
     ArrfreeError,
     Cyc,
     FormatError,
+    InvalidParameter,
+    NotAScalar,
     _coerce,
     check_header,
     format_linear,
@@ -53,14 +54,11 @@ class RankLimit(ArrfreeError, ValueError):
     """Raised when a computation exceeds its guaranteed-tractable rank."""
 
 
-# Modular filter prime: P = 439 * lcm(1..40) + 1, so every root order up
-# to 40 embeds into F_P, compatibly across orders, via the primitive
-# root 53.  Arrangements at other orders use the pure exact path.
+# The key prime: P = 439 * lcm(1..40) + 1, so every root order up to 40
+# embeds into F_P, compatibly across orders, via the primitive root 53.
+# Arrangements at other orders take the exact keys.
 _P = 2345546909650744801
 _PRIMITIVE = 53
-# the two probe vectors of a flat take the values b^(f+1) at its free
-# coordinates f, for these bases b
-_PROBE_BASES = (3, 5)
 
 
 @lru_cache(maxsize=None)
@@ -148,16 +146,18 @@ class Hyperplane:
             if not isinstance(c, Cyc):
                 cc = _coerce(c, 1)
                 if cc is None:
-                    raise TypeError(f"cannot use {c!r} as a covector entry")
+                    raise NotAScalar(f"cannot use {c!r} as a covector entry")
                 c = cc
             vals.append(c)
         if not vals:
-            raise ValueError("a hyperplane needs at least one coordinate")
+            raise InvalidParameter(
+                "a hyperplane needs at least one coordinate")
         order = math.lcm(order, *(c.order for c in vals))
         vals = [c.promote(order) for c in vals]
         lead = next((c for c in vals if c), None)
         if lead is None:
-            raise ValueError("the zero covector does not define a hyperplane")
+            raise InvalidParameter(
+                "the zero covector does not define a hyperplane")
         if lead != 1:
             inv = lead.inverse()
             vals = [c * inv for c in vals]
@@ -220,7 +220,8 @@ class Flat:
         for v in covectors:
             h = v if isinstance(v, Hyperplane) else Hyperplane(v, order)
             if h.dim != dim:
-                raise ValueError("covector length does not match dimension")
+                raise InvalidParameter(
+                    "covector length does not match dimension")
             order = math.lcm(order, h.order)
             hs.append(h)
         vecs = ([c.promote(order) for c in h.coeffs] for h in hs)
@@ -260,7 +261,7 @@ class Arrangement:
 
     def __init__(self, dim: int, hyperplanes=(), order: int = 1):
         if dim < 1:
-            raise ValueError("dimension must be at least 1")
+            raise InvalidParameter("dimension must be at least 1")
         hs = []
         for h in hyperplanes:
             if isinstance(h, str):
@@ -268,7 +269,7 @@ class Arrangement:
             elif not isinstance(h, Hyperplane):
                 h = Hyperplane(h, order)
             if h.dim != dim:
-                raise ValueError(
+                raise InvalidParameter(
                     f"hyperplane of dimension {h.dim} in a dimension-{dim} arrangement")
             hs.append(h)
         order = math.lcm(order, *(h.order for h in hs)) if hs else order
@@ -534,127 +535,104 @@ def _mod_span(mcovs, x: int, k: int):
     return basis if len(basis[1]) == k else None
 
 
-def _probe_keys(rows, pivots, mcovs, rest: int):
-    """A key mod P for each hyperplane j in rest, over the flat X with the
-    given rref basis over F_P.
+def _certified(covs, s: int) -> bool:
+    """True when ranks of up to s covectors are the same mod P as over
+    Q(zeta_n).  Cleared of denominators, the covectors lie in Z[zeta]^dim,
+    and every embedding sends an entry c to a number of modulus at most
+    l1(c), the sum of its |power-basis coefficients|.  With w the largest
+    sum of l1(c)^2 over a covector, Hadamard's bound puts the norm of a
+    minor of at most s rows below w^(s phi(n)/2).  Reduction mod P has a
+    prime of norm P as its kernel, and a nonzero algebraic integer in it
+    has norm at least P; so w^(s phi(n)) < P^2 keeps every nonzero such
+    minor nonzero mod P.  A covector leads with 1, so its denominators
+    stay below P too."""
+    w = 1
+    for v in covs:
+        scale = math.lcm(*(c.den for c in v))
+        w = max(w, sum((sum(map(abs, c.num)) * (scale // c.den)) ** 2
+                       for c in v))
+    e = s * len(covs[0][0].num) if covs else 0
+    # w^e >= 2^(e (bits(w) - 1)), so this first test bounds the power
+    return e * (w.bit_length() - 1) < 2 * _P.bit_length() and w ** e < _P ** 2
 
-    u and w are two fixed vectors of X mod P, and j gets the point
-    (cov_j.u : cov_j.w), so cov_j.(W_i u - U_i w) = 0 says that j passes
-    the probe of X v H_i.  A member j of X v H_i has cov_j = t cov_i modulo
-    the rows of X, so it gets i's point, or (0 : 0) when t = 0 mod P; key
-    None marks (0 : 0), which no probe rejects."""
-    probes = []
-    for base in _PROBE_BASES:
-        u = [0 if c in pivots else pow(base, c + 1, _P)
-             for c in range(len(mcovs[0]))]
-        for mr, p in zip(rows, pivots):
-            u[p] = -sum(a * b for a, b in zip(mr, u)) % _P
-        probes.append(u)
-    u, w = probes
-    keys = {}
+
+def _mod_keys(rows, pivots, mcovs, rest: int) -> dict:
+    """The hyperplanes j in rest by key, over the flat X with the given rref
+    basis over F_P: cov_j modulo the rows, read on X's free coordinates,
+    scaled so that its first nonzero entry is 1, and encoded as one int
+    sum r_t P^t.  Rows in rref vanish on each other's pivots, so the
+    residue at a free coordinate f is cov_j[f] - sum_p cov_j[p] row_p[f]."""
+    free = [c for c in range(len(mcovs[0])) if c not in pivots]
+    cols = [[row[f] for row in rows] for f in free]
+    groups: dict = {}
     for j in _bits(rest):
-        a = sum(map(mul, mcovs[j], u)) % _P
-        b = sum(map(mul, mcovs[j], w)) % _P
-        keys[j] = b * pow(a, -1, _P) % _P if a else (-1 if b else None)
-    return keys
+        vec = mcovs[j]
+        head = [vec[p] for p in pivots]
+        vals = [(vec[f] - sum(map(mul, head, col))) % _P
+                for f, col in zip(free, cols)]
+        inv = pow(next(filter(None, vals)), -1, _P)
+        key = 0
+        for v in vals:
+            key = key * _P + v * inv % _P
+        groups[key] = groups.get(key, 0) | 1 << j
+    return groups
 
 
-def _line_table(m: int, lines):
-    """table[a][b]: the mask of the line through atoms a != b; the
-    diagonal table[a][a] stays 0, so no line is read off a single atom."""
-    table = [[0] * m for _ in range(m)]
-    for line in lines:
-        atoms = list(_bits(line))
-        for a in atoms:
-            row = table[a]
-            for b in atoms:
-                if b != a:
-                    row[b] = line
-    return table
-
-
-def _same_line(red_j, red_i, q: int) -> bool:
-    """Exact test that red_j is a multiple of red_i, whose first nonzero
-    coordinate is q; fraction-free, so without an inverse."""
-    a, b = red_i[q], red_j[q]
-    return all(s * a == b * t for s, t in zip(red_j, red_i) if s or t)
+def _exact_keys(rows, pivots, covs, rest: int) -> dict:
+    """The same classes over Q(zeta_n), from X's exact rref basis; a key
+    is the scaled residue as a tuple of (num, den) pairs."""
+    free = [c for c in range(len(covs[0])) if c not in pivots]
+    groups: dict = {}
+    for j in _bits(rest):
+        red = _reduce(covs[j], rows, pivots)
+        vals = [red[f] for f in free]
+        inv = next(filter(None, vals)).inverse()
+        key = tuple((c.num, c.den) for c in (v * inv for v in vals))
+        groups[key] = groups.get(key, 0) | 1 << j
+    return groups
 
 
 def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     """Flat masks by rank up to max_rank (every rank when None), resumed
     from the given lower levels.
 
-    Each flat is found once: a rank-(k+1) flat that contains the rank-k
-    flat X and H_i is Y = X v H_i, so the flats above X found earlier are
-    skipped by their masks, and every other i gives a new flat.  From rank
-    3 on, Y first takes every hyperplane on a line (a rank-2 flat) through
-    two of its members, repeated until none is added: if H_a and H_b
-    contain Y, so does every hyperplane that contains H_a n H_b.  This
-    needs no arithmetic.  The probe of Y is the completeness filter: a
-    hyperplane it rejects is no member, and a candidate that passes it
-    and no line certifies is confirmed exactly against X's rref basis,
-    computed from X's atoms when first needed.  The probes read X's rref
-    basis over F_P, spanned from its atoms only when some hyperplane is
-    left to probe, so a resumed build runs as a fresh one; a flat whose
-    atoms span less than its rank mod P, or an order with no root in F_P,
-    takes the exact path."""
+    Each flat is found once.  The rank-(k+1) flats above a rank-k flat X
+    are X v H_j for the hyperplanes j outside X, and X v H_i = X v H_j
+    exactly when cov_i and cov_j are proportional modulo X's annihilator.
+    So the flats above X found earlier are skipped by their masks
+    (`_above`), every other hyperplane gets one key, its residue modulo
+    X's rref basis scaled to lead with 1, and each class of equal keys is
+    a new flat X v H_j.  The keys are read over F_P from a basis spanned
+    from X's atoms when `_certified` shows that ranks of up to max_rank +
+    1 covectors are the same mod P as exactly; otherwise, or when X's
+    atoms span less than rank k mod P, they are computed exactly over
+    Q(zeta_n).  Only the levels carry over from one rank to the next, so
+    a resumed build runs as a fresh one."""
     m = len(arr)
     covs = [h.coeffs for h in arr.hyperplanes]
-    root = _mod_root(arr.order)
-    mcovs = [_mod_vector(v, root) for v in covs] if root else [None]
-    mcovs = None if None in mcovs else mcovs
     limit = arr.dim if max_rank is None else max_rank
+    root = _mod_root(arr.order)
+    mcovs = ([_mod_vector(v, root) for v in covs] if root and
+             _certified(covs, min(limit + 1, arr.dim)) else None)
     levels = list(levels)
     k = len(levels) - 1
-    lines = None
     full = (1 << m) - 1
     while k < limit:
-        if k >= 2 and lines is None:
-            lines = _line_table(m, levels[2])
         k += 1
         found = []
         by_atom: list = [[] for _ in range(m)]
         for x in levels[k - 1]:
             rest = full & ~_above(x, by_atom)
-            basis = (_mod_span(mcovs, x, k - 1)
-                     if mcovs is not None and rest else None)
-            keys = None if basis is None else _probe_keys(*basis, mcovs, rest)
-            groups: dict = {}
-            for j, key in (keys or {}).items():
-                groups[key] = groups.get(key, 0) | 1 << j
-            anywhere = groups.pop(None, 0)
-            atoms = list(_bits(x))
-            exact = None
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                rest ^= low
-                key = None if keys is None else keys[i]
-                cand = rest if key is None else (groups[key] | anywhere) & rest
-                mask = x | low
-                if lines is not None:
-                    members = [*atoms, i]
-                    new = [i]
-                    while new:
-                        grow = 0
-                        for a in new:
-                            row = lines[a]
-                            grow |= reduce(or_, map(row.__getitem__, members))
-                        grow &= ~mask
-                        mask |= grow
-                        new = list(_bits(grow))
-                        members += new
-                cand &= ~mask
-                if cand:
-                    if exact is None:
-                        exact = _rref((covs[j] for j in atoms), k - 1)
-                    rows, pivots = exact
-                    red = _reduce(covs[i], rows, pivots)
-                    q = next(c for c, v in enumerate(red) if v)
-                    for j in _bits(cand):
-                        if _same_line(_reduce(covs[j], rows, pivots), red, q):
-                            mask |= 1 << j
-                rest &= ~mask
+            if not rest:
+                continue
+            basis = _mod_span(mcovs, x, k - 1) if mcovs else None
+            if basis is None:
+                exact = _rref((covs[j] for j in _bits(x)), k - 1)
+                groups = _exact_keys(*exact, covs, rest)
+            else:
+                groups = _mod_keys(*basis, mcovs, rest)
+            for g in groups.values():
+                mask = x | g
                 found.append(mask)
                 for a in _bits(mask):
                     by_atom[a].append(mask)
@@ -806,6 +784,18 @@ def _permute_mask(mask: int, perm) -> int:
     for i in _bits(mask):
         out |= 1 << perm[i]
     return out
+
+
+def _line_table(m: int, lines):
+    """table[a][b]: the mask of the line through atoms a != b."""
+    table = [[0] * m for _ in range(m)]
+    for line in lines:
+        atoms = list(_bits(line))
+        for a in atoms:
+            row = table[a]
+            for b in atoms:
+                row[b] = line
+    return table
 
 
 def lattice_isomorphic(a: Arrangement, b: Arrangement) -> bool:

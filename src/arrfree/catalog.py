@@ -34,16 +34,13 @@ from arrfree.cyclotomic import (
     MAX_DIM,
     MAX_ORDER,
     FormatError,
+    InvalidParameter,
     _coerce,
     _read_int,
     check_header,
     parse_scalar,
     root_of_unity,
 )
-
-
-class InvalidParameter(ArrfreeError, ValueError):
-    """Raised when a constructor parameter is outside its documented range."""
 
 
 class CatalogDataError(ArrfreeError, ValueError):

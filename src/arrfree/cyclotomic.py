@@ -40,11 +40,19 @@ class DivisionByZero(ArrfreeError, ZeroDivisionError):
     """Raised on inversion or division by the zero scalar."""
 
 
+class InvalidParameter(ArrfreeError, ValueError):
+    """Raised when a constructor parameter is outside its documented range."""
+
+
+class NotAScalar(ArrfreeError, TypeError):
+    """Raised when a value cannot be read as a scalar of Q(zeta_n)."""
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
-        raise ValueError("order must be a positive integer")
+        raise InvalidParameter("order must be a positive integer")
     if n == 1:
         return (-1, 1)
     num = [0] * (n + 1)
@@ -213,7 +221,7 @@ class Cyc:
 
     def __init__(self, order: int, coeffs=0, den: int = 1):
         if order < 1:
-            raise ValueError("order must be a positive integer")
+            raise InvalidParameter("order must be a positive integer")
         if den == 0:
             raise DivisionByZero("zero denominator")
         deg = _degree(order)
@@ -221,7 +229,8 @@ class Cyc:
             coeffs = (coeffs,)
         vals = [Fraction(c, den) for c in coeffs]
         if len(vals) > deg:
-            raise ValueError(f"at most {deg} basis coefficients for order {order}")
+            raise InvalidParameter(
+                f"at most {deg} basis coefficients for order {order}")
         vals += [Fraction(0)] * (deg - len(vals))
         scale = math.lcm(*(v.denominator for v in vals))
         num = tuple(int(v * scale) for v in vals)
@@ -259,7 +268,7 @@ class Cyc:
 
     def as_fraction(self) -> Fraction:
         if any(self.num[1:]):
-            raise ValueError(f"{self} is not rational")
+            raise IncompatibleOrder(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "Cyc":
@@ -434,7 +443,7 @@ def _signed_sum(terms) -> str:
 def root_of_unity(order: int, power: int = 1) -> Cyc:
     """z^power where z is the canonical primitive root of the given order."""
     if order < 1:
-        raise ValueError("order must be a positive integer")
+        raise InvalidParameter("order must be a positive integer")
     return Cyc._make(order, _power_table(order)[power % order], 1)
 
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
                           _contract, _sub_exponents)
-from .cyclotomic import ArrfreeError, FormatError, check_header
+from .cyclotomic import (ArrfreeError, FormatError, InvalidParameter,
+                         check_header)
 
 
 class ShapeError(ArrfreeError, ValueError):
@@ -627,7 +628,7 @@ class RecursionWitness:
             if not isinstance(mv, RecursionMove):
                 mv = RecursionMove(*mv)
             if mv.kind not in ("add", "remove"):
-                raise ValueError(f"unknown move kind {mv.kind!r}")
+                raise InvalidParameter(f"unknown move kind {mv.kind!r}")
             coerced.append(mv)
         self.moves = tuple(coerced)
 

@@ -23,6 +23,7 @@ from arrfree.arrangement import (
     _P,
     _bits,
     _build_levels,
+    _certified,
     _charpoly,
     _contract,
     _mod_root,
@@ -42,7 +43,10 @@ from arrfree.catalog import (
 )
 from arrfree.cyclotomic import (
     MAX_ORDER,
+    ArrfreeError,
     Cyc,
+    InvalidParameter,
+    NotAScalar,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -125,6 +129,26 @@ def test_arrangement_dedups_and_sorts():
     c = Arrangement(2, [[1, 0], [1, -1]])
     assert len(c) == len(b) and c.order == b.order
     assert a != c and c != b
+
+
+def test_constructor_errors_are_arrfree_errors():
+    # each keeps its standard base, so `except ValueError` still works
+    assert issubclass(InvalidParameter, ArrfreeError)
+    assert issubclass(InvalidParameter, ValueError)
+    assert issubclass(NotAScalar, ArrfreeError)
+    assert issubclass(NotAScalar, TypeError)
+    bad_values = (
+        lambda: Arrangement(3, [[0, 0, 0]]),
+        lambda: Arrangement(3, [[1, 0]]),
+        lambda: Arrangement(0, []),
+        lambda: Hyperplane([]),
+        lambda: Flat.from_covectors([[1, 0]], 3),
+    )
+    for make in bad_values:
+        with pytest.raises(InvalidParameter):
+            make()
+    with pytest.raises(NotAScalar, match="covector entry"):
+        Arrangement(3, [["a", 0, 0]])
 
 
 def test_arrangement_mixed_orders_promote():
@@ -627,43 +651,44 @@ def test_top_rank_is_read_off_rank(monkeypatch):
     fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
     fresh.rank()  # its own rref is not the lattice's
     spans = []
+    made = Counter()
     exact = []
-    mod_span, probe_keys = arrangement._mod_span, arrangement._probe_keys
+    mod_span, mod_keys = arrangement._mod_span, arrangement._mod_keys
     rref = arrangement._rref
 
     def recording_span(mcovs, x, k):
         spans.append([x, k, False])
         return mod_span(mcovs, x, k)
 
-    def recording_probe(rows, pivots, mcovs, rest):
-        # a probe reads the basis spanned just before it
-        assert len(rows) == spans[-1][1] and not spans[-1][2]
+    def recording_keys(rows, pivots, mcovs, rest):
+        # the keys read the basis spanned just before them
+        x, k, keyed = spans[-1]
+        assert len(rows) == k and not keyed
         spans[-1][2] = True
-        return probe_keys(rows, pivots, mcovs, rest)
+        groups = mod_keys(rows, pivots, mcovs, rest)
+        made.update(x | g for g in groups.values())
+        return groups
 
     def recording_rref(vectors, rank=None):
-        vectors = tuple(vectors)
-        exact.append((rank, frozenset(vectors)))
+        exact.append(rank)
         return rref(vectors, rank)
 
     with monkeypatch.context() as mp:
         mp.setattr(arrangement, "_mod_span", recording_span)
-        mp.setattr(arrangement, "_probe_keys", recording_probe)
+        mp.setattr(arrangement, "_mod_keys", recording_keys)
         mp.setattr(arrangement, "_rref", recording_rref)
         assert fresh.intersection_lattice().levels == expected
-    # each flat below rank r - 1 that is probed spans one basis over F_P
-    # from its atoms, and every basis spanned is probed; no rank-(r-1) flat
-    # spans one, since those flats generate only the centre
-    assert all(probed for _, _, probed in spans)
+    # each flat below rank r - 1 that has a rest spans one basis over F_P
+    # from its atoms and is keyed from it; no rank-(r-1) flat spans one,
+    # since those flats generate only the centre
+    assert all(keyed for _, _, keyed in spans)
     assert len({x for x, _, _ in spans}) == len(spans)
     assert all(x in expected[k] for x, k, _ in spans)
     assert {k for _, k, _ in spans} == set(range(r - 1))
-    # an exact basis is computed from a flat's atoms at most once, and only
-    # for a flat below rank r - 1, whose candidates it confirms
-    assert exact and len(set(exact)) == len(exact)
-    ranks = Counter(k for k, _ in exact)
-    assert max(ranks) < r - 1
-    assert all(n <= len(expected[k]) for k, n in ranks.items())
+    # every flat of ranks 1 .. r - 1 is one class of keys, once; no flat is
+    # spanned exactly
+    assert made == Counter(x for level in expected[1:r] for x in level)
+    assert exact == []
     # resumed from a partial build that stops below, at or above the top
     for k in (r - 1, r, r + 1):
         fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
@@ -671,41 +696,58 @@ def test_top_rank_is_read_off_rank(monkeypatch):
         assert fresh.intersection_lattice().levels == expected
 
 
-def test_probe_is_only_a_filter(monkeypatch):
-    cases = _oracle_cases()[::3]
-    cases.append(reflection_arrangement("G25"))
+def _uncertified(monkeypatch):
+    """Every build from here on computes its keys exactly."""
+    monkeypatch.setattr(arrangement, "_certified", lambda covs, s: False)
+
+
+def test_exact_keys_match_the_reference(monkeypatch):
+    cases = _oracle_cases() + [reflection_arrangement("G25")]
     expected = [_reference_levels(arr)[0] for arr in cases]
-    confirmed = []
-    same_line = arrangement._same_line
+    calls = Counter()
+    for name in ("_mod_keys", "_exact_keys"):
+        kernel = getattr(arrangement, name)
 
-    def counting(*args):
-        confirmed.append(1)
-        return same_line(*args)
+        def counting(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr(arrangement, "_same_line", counting)
+        monkeypatch.setattr(arrangement, name, counting)
     assert [_build_levels(arr) for arr in cases] == expected
-    filtered = len(confirmed)
-    # a member whose point is (0 : 0) mod P stays a candidate of every flat
-    probe_keys = arrangement._probe_keys
-
-    def some_unknown(rows, pivots, mcovs, rest):
-        keys = probe_keys(rows, pivots, mcovs, rest)
-        return {j: None if j % 3 == 1 else key for j, key in keys.items()}
-
-    monkeypatch.setattr(arrangement, "_probe_keys", some_unknown)
+    certified = calls["_mod_keys"]
+    # the certificate holds on every case with a root mod P, and the
+    # exact keys serve the rest, order 41 here
+    assert certified and calls["_exact_keys"]
+    calls.clear()
+    _uncertified(monkeypatch)
     assert [_build_levels(arr) for arr in cases] == expected
-    # a probe that passes every hyperplane leaves the levels unchanged:
-    # every member is confirmed exactly
-    monkeypatch.setattr(arrangement, "_probe_keys",
-                        lambda rows, pivots, mcovs, rest:
-                        dict.fromkeys(_bits(rest), 0))
-    assert [_build_levels(arr) for arr in cases] == expected
-    assert len(confirmed) > 2 * filtered
+    assert calls["_mod_keys"] == 0 and calls["_exact_keys"] > certified
 
 
-def test_broken_kernels_are_caught(monkeypatch):
-    cases = _oracle_cases()[::3] + [reflection_arrangement("G25")]
-    expected = [_reference_levels(arr)[0] for arr in cases]
+def test_certificate_failure_takes_the_exact_keys(monkeypatch):
+    # [1, P, 0] is [1, 0, 0] mod P: one key mod P, two hyperplanes exactly
+    arr = Arrangement(3, [[1, 0, 0], [0, 1, 0], [1, _P, 0], [0, 0, 1],
+                          [1, 1, 1]])
+    expected = _reference_levels(arr)[0]
+    assert not _certified([h.coeffs for h in arr.hyperplanes], 3)
+    assert arr.intersection_lattice().levels == expected
+    assert len(expected[1]) == 5
+    assert _build_levels(arr) == expected
+    # forced to trust the residues mod P, the build merges the two
+    monkeypatch.setattr(arrangement, "_certified", lambda covs, s: True)
+    forced = _build_levels(arr)
+    assert forced != expected and len(forced[1]) == 4
+    # the shipped groups certify their full lattices, except G27, whose
+    # covectors need about 77 bits against log2 P of about 61
+    certified = {name for name in group_names()
+                 if _certified([h.coeffs for h in
+                                reflection_arrangement(name).hyperplanes],
+                               reflection_arrangement(name).rank())}
+    assert set(group_names()) - certified == {"G27"}
+
+
+def test_broken_kernels_are_caught(kernel_cases, monkeypatch):
+    assert _builds_as_reference(kernel_cases)
 
     def no_subset_check(x, by_atom):
         skip = x
@@ -716,13 +758,13 @@ def test_broken_kernels_are_caught(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(arrangement, "_above", no_subset_check)
-        assert [_build_levels(arr) for arr in cases] != expected
+        assert not _builds_as_reference(kernel_cases)
+    # a basis over F_P one row short of its flat's rank
+    mod_span = arrangement._mod_span
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_probe_keys",
-                   lambda rows, pivots, mcovs, rest:
-                   dict.fromkeys(_bits(rest), 0))
-        mp.setattr(arrangement, "_same_line", lambda *args: True)
-        assert [_build_levels(arr) for arr in cases] != expected
+        mp.setattr(arrangement, "_mod_span",
+                   lambda mcovs, x, k: mod_span(mcovs, x, max(k - 1, 0)))
+        assert not _builds_as_reference(kernel_cases)
 
 
 @pytest.fixture(scope="module")
@@ -736,32 +778,32 @@ def kernel_cases():
     return [(arr, r, _reference_levels(arr, r)[0]) for arr, r in cases]
 
 
-def _builds_as_reference(kernel_cases, build=None) -> bool:
-    build = build or arrangement._build_levels
-    return all(build(arr, r) == expected for arr, r, expected in kernel_cases)
+def _builds_as_reference(kernel_cases) -> bool:
+    return all(arrangement._build_levels(arr, r) == expected
+               for arr, r, expected in kernel_cases)
 
 
-def test_broken_line_certification_is_caught(kernel_cases, monkeypatch):
-    assert _builds_as_reference(kernel_cases)
-    # a line on the diagonal certifies hyperplanes off one member
+def test_broken_keys_are_caught(kernel_cases, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_line_table",
-                   _mutant(arrangement._line_table, "if b != a:", "if True:"))
-        assert not _builds_as_reference(kernel_cases)
+        _uncertified(mp)
+        assert _builds_as_reference(kernel_cases)
     broken = (
-        # every line through a member, one holding no other member included
-        _mutant(_build_levels, "map(row.__getitem__, members)", "row"),
-        # candidates that no line certifies are dropped, not confirmed
-        _mutant(_build_levels, "if cand:", "if False:"),
+        # a key left unscaled
+        ("_mod_keys", "inv = pow(next(filter(None, vals)), -1, _P)",
+         "inv = 1"),
+        ("_exact_keys", "inv = next(filter(None, vals)).inverse()",
+         "inv = 1"),
+        # a key that drops its last free coordinate
+        ("_mod_keys", "for v in vals:", "for v in vals[:-1]:"),
+        ("_exact_keys", "for v in vals)", "for v in vals[:-1])"),
     )
-    for build in broken:
-        assert not _builds_as_reference(kernel_cases, build)
-    # a probe basis over F_P one row short of its flat's rank
-    mod_span = arrangement._mod_span
-    with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_mod_span",
-                   lambda mcovs, x, k: mod_span(mcovs, x, max(k - 1, 0)))
-        assert not _builds_as_reference(kernel_cases)
+    for name, old, new in broken:
+        with monkeypatch.context() as mp:
+            if name == "_exact_keys":
+                _uncertified(mp)
+            mp.setattr(arrangement, name,
+                       _mutant(getattr(arrangement, name), old, new))
+            assert not _builds_as_reference(kernel_cases), (name, new)
 
 
 def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
@@ -784,51 +826,78 @@ def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
     assert len(calls) > 300
 
 
-def test_resumed_build_probes_as_a_fresh_one(monkeypatch):
-    probes = []
-    probe_keys = arrangement._probe_keys
+def test_resumed_build_keys_as_a_fresh_one(monkeypatch):
+    keyed = []
+    for name in ("_mod_keys", "_exact_keys"):
+        kernel = getattr(arrangement, name)
 
-    def recording(rows, pivots, mcovs, rest):
-        probes.append((rows, pivots, rest))
-        return probe_keys(rows, pivots, mcovs, rest)
+        def recording(rows, pivots, vecs, rest, kernel=kernel, name=name):
+            keyed.append((name, rows, pivots, rest))
+            return kernel(rows, pivots, vecs, rest)
 
-    monkeypatch.setattr(arrangement, "_probe_keys", recording)
-    for name in ("G28", "G32"):
-        g = reflection_arrangement(name)
-        probes.clear()
-        whole = _build_levels(g, 3)
-        fresh = probes.copy()
-        probes.clear()
-        resumed = _build_levels(g, 3, _build_levels(g, 2))
-        assert resumed == whole
-        assert probes == fresh
+        monkeypatch.setattr(arrangement, name, recording)
+    for exact in (False, True):
+        if exact:
+            _uncertified(monkeypatch)
+        for name in ("G28", "G32"):
+            g = reflection_arrangement(name)
+            keyed.clear()
+            whole = _build_levels(g, 3)
+            fresh = keyed.copy()
+            keyed.clear()
+            resumed = _build_levels(g, 3, _build_levels(g, 2))
+            assert resumed == whole
+            assert keyed == fresh
+            assert {kernel for kernel, *_ in fresh} == \
+                {"_exact_keys" if exact else "_mod_keys"}
 
 
-def test_lines_leave_few_exact_confirmations(monkeypatch):
-    same_line = arrangement._same_line
-    confirmed = []
+def test_certified_builds_do_no_exact_arithmetic(monkeypatch):
+    counts = Counter()
+    inside = []
+    build = arrangement._build_levels
 
-    def counting(*args):
-        confirmed.append(1)
-        return same_line(*args)
+    def recording_build(*args):
+        inside.append(1)
+        try:
+            return build(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(arrangement, "_same_line", counting)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arrangement, "_build_levels", recording_build)
+    monkeypatch.setattr(arrangement, "_rref",
+                        counted("_rref", arrangement._rref))
+    for name in ("__mul__", "__rmul__", "inverse"):
+        monkeypatch.setattr(Cyc, name, counted(name, getattr(Cyc, name)))
     g34 = group("G34")
-    for arr, top in ((reflection_arrangement("G33"), None),
-                     (restriction_by_type(g34, "A1^2"), 3),
-                     (restriction_by_type(g34, "A1"), 3)):
-        fresh = Arrangement(arr.dim, arr.hyperplanes, arr.order)
-        fresh.partial_levels(2)
-        del confirmed[:]
-        if top is None:
-            top = fresh.rank() - 1
-            levels = fresh.intersection_lattice().levels
-        else:
-            levels, _ = fresh.partial_levels(top)
-        members = sum(x.bit_count() for level in levels[3:top + 1]
-                      for x in level)
-        # most members at rank >= 3 lie on a line through two others
-        assert len(confirmed) < 0.02 * members, (arr, len(confirmed))
+    cases = ((reflection_arrangement("G33"), None),
+             (restriction_by_type(g34, "A1^2"), 3),
+             (restriction_by_type(g34, "A1"), 3),
+             (reflection_arrangement("G34"), 2))
+    for arr, top in cases:
+        for exact in (False, True):
+            fresh = Arrangement(arr.dim, arr.hyperplanes, arr.order)
+            fresh.rank()
+            counts.clear()
+            with monkeypatch.context() as mp:
+                if exact:
+                    _uncertified(mp)
+                if top is None:
+                    fresh.intersection_lattice()
+                else:
+                    fresh.partial_levels(top)
+            if exact:
+                # the counters see the exact keys where no certificate holds
+                assert counts["_rref"] and counts["__mul__"], arr
+            else:
+                assert not counts, (arr, counts)
 
 
 # -- characteristic polynomial against the quadratic Moebius sum ------------

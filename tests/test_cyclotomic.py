@@ -16,6 +16,7 @@ from arrfree.cyclotomic import (
     DivisionByZero,
     FormatError,
     IncompatibleOrder,
+    InvalidParameter,
     MAX_NESTING,
     MAX_ORDER,
     check_header,
@@ -105,6 +106,20 @@ def test_rational_values_hash_like_fractions():
     assert root_of_unity(4).is_rational is False
     with pytest.raises(ValueError):
         root_of_unity(4).as_fraction()
+
+
+def test_scalar_errors_are_arrfree_errors():
+    with pytest.raises(IncompatibleOrder, match="not rational"):
+        root_of_unity(4).as_fraction()
+    bad_values = (
+        lambda: cyclotomic_polynomial(0),
+        lambda: Cyc(0, 1),
+        lambda: Cyc(3, (1, 2, 3)),
+        lambda: root_of_unity(0),
+    )
+    for make in bad_values:
+        with pytest.raises(InvalidParameter):
+            make()
 
 
 def test_conductor_finds_minimal_field():

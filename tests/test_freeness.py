@@ -22,7 +22,7 @@ from arrfree.catalog import (
     restriction_by_type,
 )
 from arrfree import freeness
-from arrfree.cyclotomic import FormatError
+from arrfree.cyclotomic import FormatError, InvalidParameter
 from arrfree.freeness import (
     InductionCertificate,
     InductionStep,
@@ -530,7 +530,7 @@ def test_recursion_witness_failures():
         RecursionWitness(intermediate(3, 3, 0), [("add", x1)]))
     assert not report.ok and report.failures[0].move == 0
 
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         RecursionWitness(base, [("swap", x1)])
 
 
