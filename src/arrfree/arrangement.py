@@ -398,14 +398,14 @@ class Arrangement:
         """Every flat by rank.  The top rank r = rank() holds one flat, the
         centre, which lies in every hyperplane; so the levels are built up
         to rank r - 1, whose flats generate nothing, and the centre is
-        appended."""
+        appended.  The levels are kept as the partial levels too."""
         if self._lattice is None:
             r = self.rank()
             levels = self._partial[:r]
             if len(levels) < r:
                 levels = _build_levels(self, r - 1, levels)
-            levels = (*levels, ((1 << len(self)) - 1,))
-            self._lattice = Lattice(self, levels)
+            self._partial = (*levels, ((1 << len(self)) - 1,))
+            self._lattice = Lattice(self, self._partial)
         return self._lattice
 
     def line_masks(self) -> tuple[int, ...]:
@@ -417,13 +417,12 @@ class Arrangement:
         """Flat masks by rank up to max_rank, and bases[mask], the rref basis
         of a flat's annihilator, computed when read.
 
-        Cached: the deepest levels built, extended only when they hold too
-        few and do not end at the centre, or the full lattice once built."""
-        if (self._lattice is None and len(self._partial) <= max_rank
+        Cached: the deepest levels built (the full lattice's once built),
+        extended only when they hold too few and do not end at the centre."""
+        if (len(self._partial) <= max_rank
                 and self._partial[-1] != ((1 << len(self)) - 1,)):
             self._partial = _build_levels(self, max_rank, self._partial)
-        levels = self._partial if self._lattice is None else self._lattice.levels
-        return levels[:max_rank + 1], _Bases(self)
+        return self._partial[:max_rank + 1], _Bases(self)
 
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """Coefficients of the characteristic polynomial, constant first."""
@@ -525,14 +524,14 @@ def _mod_insert(rows, pivots, vec):
 
 
 def _mod_span(mcovs, x: int, k: int):
-    """The rref basis over F_P of the rank-k flat x, from its atoms; None
-    when their images span less than rank k."""
+    """The rref basis over F_P of the rank-k flat x, from its atoms, which
+    span rank k mod P under `_certified`."""
     basis = ((), ())
     for j in _bits(x):
         if len(basis[1]) == k:
             break
         basis = _mod_insert(*basis, mcovs[j]) or basis
-    return basis if len(basis[1]) == k else None
+    return basis
 
 
 def _certified(covs, s: int) -> bool:
@@ -602,12 +601,12 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     So the flats above X found earlier are skipped by their masks
     (`_above`), every other hyperplane gets one key, its residue modulo
     X's rref basis scaled to lead with 1, and each class of equal keys is
-    a new flat X v H_j.  The keys are read over F_P from a basis spanned
-    from X's atoms when `_certified` shows that ranks of up to max_rank +
-    1 covectors are the same mod P as exactly; otherwise, or when X's
-    atoms span less than rank k mod P, they are computed exactly over
-    Q(zeta_n).  Only the levels carry over from one rank to the next, so
-    a resumed build runs as a fresh one."""
+    a new flat X v H_j.  The choice is made once per build: the keys are
+    read over F_P from a basis spanned from X's atoms when `_certified`
+    shows that ranks of up to max_rank + 1 covectors are the same mod P
+    as exactly, and are computed exactly over Q(zeta_n) otherwise.  Only
+    the levels carry over from one rank to the next, so a resumed build
+    runs as a fresh one."""
     m = len(arr)
     covs = [h.coeffs for h in arr.hyperplanes]
     limit = arr.dim if max_rank is None else max_rank
@@ -625,12 +624,11 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
             rest = full & ~_above(x, by_atom)
             if not rest:
                 continue
-            basis = _mod_span(mcovs, x, k - 1) if mcovs else None
-            if basis is None:
+            if mcovs:
+                groups = _mod_keys(*_mod_span(mcovs, x, k - 1), mcovs, rest)
+            else:
                 exact = _rref((covs[j] for j in _bits(x)), k - 1)
                 groups = _exact_keys(*exact, covs, rest)
-            else:
-                groups = _mod_keys(*basis, mcovs, rest)
             for g in groups.values():
                 mask = x | g
                 found.append(mask)

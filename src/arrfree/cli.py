@@ -139,19 +139,19 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    if args.order == "search":
-        _refuse(args, ("r", "ell"), "not used without --order canonical")
-    else:
-        _refuse(args, ("force",), "not used with --order canonical")
+    if args.order == "canonical" and args.force:
+        raise InvalidParameter("--force: not used with --order canonical")
     arr, payload = _load(args, Arrangement.from_text)
     if args.order == "canonical":
-        if args.r is None or args.ell is None:
-            raise InvalidParameter("--order canonical needs --r and --ell")
-        if args.ell != arr.dim:
-            raise InvalidParameter(f"--ell {args.ell} does not match the"
-                                   f" dimension {arr.dim} of the arrangement")
-        rep = certify_chain(arr.dim, arr.order,
-                            canonical_induction_order(args.r, args.ell))
+        # |intermediate(r, ell, ell - 2)| = ell - 2 + r ell (ell - 1) / 2
+        ell, lines = arr.dim, arr.dim * (arr.dim - 1) // 2
+        n = len(arr) - ell + 2
+        if ell < 3 or n % lines or n < 2 * lines:
+            raise InvalidParameter(f"--order canonical: {len(arr)} hyperplanes"
+                                   f" in dimension {ell} are no intermediate("
+                                   f"r, ell, ell - 2) with r >= 2, ell >= 3")
+        rep = certify_chain(ell, arr.order,
+                            canonical_induction_order(n // lines, ell))
         if not rep:
             payload["verdict"] = "invalid-chain"
             payload["detail"] = rep.describe()
@@ -284,15 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("induce", help="search for an addition chain")
     i.add_argument("file")
-    # None when not given, so that --order canonical can refuse it
-    i.add_argument("--force", action="store_true", default=None,
-                   help="allow rank above 4")
+    i.add_argument("--force", action="store_true", help="allow rank above 4")
     i.add_argument("--order", choices=["search", "canonical"],
                    default="search",
-                   help="canonical replays the closed-form chain for the"
-                        " intermediate family instead of searching")
-    i.add_argument("--r", type=int)
-    i.add_argument("--ell", type=int)
+                   help="canonical replays the closed-form chain of"
+                        " intermediate(r, ell, ell-2), with r and ell read"
+                        " off the file, instead of searching")
 
     v = sub.add_parser("verify-table", help="replay and check a chain table")
     v.add_argument("file")

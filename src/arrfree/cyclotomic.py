@@ -227,7 +227,10 @@ class Cyc:
         deg = _degree(order)
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        vals = [Fraction(c, den) for c in coeffs]
+        try:
+            vals = [Fraction(c, den) for c in coeffs]
+        except TypeError:
+            raise NotAScalar(f"not a scalar: {coeffs!r} / {den!r}") from None
         if len(vals) > deg:
             raise InvalidParameter(
                 f"at most {deg} basis coefficients for order {order}")

@@ -636,6 +636,15 @@ def test_partial_levels_stop_at_the_centre(monkeypatch):
             levels, _ = arr.partial_levels(max_rank)
             assert [len(lv) for lv in levels] == sizes
     assert builds == [3, 1]
+    # the full lattice's levels are the partial levels once it is built
+    arr = braid_arrangement(4)
+    lattice = arr.intersection_lattice()
+    assert arr._partial is lattice.levels
+    builds.clear()
+    for max_rank in (1, 2, 3, 5):
+        assert arr.partial_levels(max_rank)[0] == \
+            lattice.levels[:max_rank + 1]
+    assert builds == []
 
 
 def test_top_rank_is_read_off_rank(monkeypatch):
@@ -806,24 +815,50 @@ def test_broken_keys_are_caught(kernel_cases, monkeypatch):
             assert not _builds_as_reference(kernel_cases), (name, new)
 
 
-def test_missing_probe_bases_keep_the_levels(kernel_cases, monkeypatch):
-    # a flat whose atoms span less than its rank mod P has no probe basis,
-    # and the flats it generates are confirmed without a probe
-    mod_insert = arrangement._mod_insert
-    calls = []
+def test_certified_builds_span_full_bases_and_key_one_way(kernel_cases,
+                                                          monkeypatch):
+    # under the certificate a flat's atoms span its rank mod P, so a build
+    # keys every flat over F_P or every flat exactly, never a mix
+    spans = []
+    kernels: set = set()
+    mod_span = arrangement._mod_span
 
-    def flaky(rows, pivots, vec):
-        calls.append(1)
-        if len(calls) % 3 == 0:
-            return None
-        return mod_insert(rows, pivots, vec)
+    def recording_span(mcovs, x, k):
+        basis = mod_span(mcovs, x, k)
+        spans.append((k, len(basis[0]), len(basis[1])))
+        return basis
 
-    monkeypatch.setattr(arrangement, "_mod_insert", flaky)
-    assert _builds_as_reference(kernel_cases)
-    # resumed from rank 2
-    for arr, r, expected in kernel_cases[-2:]:
-        assert _build_levels(arr, r, expected[:3]) == expected
-    assert len(calls) > 300
+    monkeypatch.setattr(arrangement, "_mod_span", recording_span)
+    for name in ("_mod_keys", "_exact_keys"):
+        kernel = getattr(arrangement, name)
+
+        def recording(*args, kernel=kernel, name=name):
+            kernels.add(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(arrangement, name, recording)
+
+    def one_way(build, certified):
+        kernels.clear()
+        build()
+        assert kernels == {"_mod_keys" if certified else "_exact_keys"}
+
+    for arr, r, _ in kernel_cases:
+        covs = [h.coeffs for h in arr.hyperplanes]
+        top = arr.dim if r is None else r
+        one_way(lambda: _build_levels(arr, r),
+                _mod_root(arr.order) is not None
+                and _certified(covs, min(top + 1, arr.dim)))
+    for name in group_names():
+        g = reflection_arrangement(name)
+        if not _certified([h.coeffs for h in g.hyperplanes], g.rank()):
+            continue
+        fresh = Arrangement(g.dim, g.hyperplanes, g.order)
+        one_way(fresh.intersection_lattice if g.rank() <= 4
+                else lambda: fresh.partial_levels(3), True)
+    # G33 and G34 among them, each flat with a rest spanning one basis
+    assert len(spans) > 1000
+    assert all(k == rows == pivots for k, rows, pivots in spans)
 
 
 def test_resumed_build_keys_as_a_fresh_one(monkeypatch):

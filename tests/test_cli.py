@@ -101,21 +101,30 @@ def test_build_refuses_options_that_do_not_apply(capsys, tmp_path, argv):
     ("--order", "search", "--r", "3", "--ell", "3"),
 ], ids=["r", "ell", "search-r-ell"])
 def test_induce_search_refuses_canonical_options(capsys, tmp_path, argv):
+    # r and ell are read off the file, so neither is an option of induce
     path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
-    code, out, err = run(capsys, "induce", path, *argv, "--json")
-    assert code == 2 and out == ""
-    assert err.startswith("error: --") and \
-        "not used without --order canonical" in err, err
+    _assert_unrecognized(capsys, ("induce", path, *argv, "--json"), argv[-2])
+
+
+def _assert_unrecognized(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments" in err and option in err, err
 
 
 def test_induce_canonical_refuses_force(capsys, tmp_path):
     path = build(capsys, tmp_path, "a.arr", *INTERMEDIATE)
     code, out, err = run(capsys, "induce", path, "--order", "canonical",
-                         "--r", "3", "--ell", "3", "--force", "--json")
+                         "--force", "--json")
     assert code == 2 and out == ""
     assert err.startswith("error: --force: not used with --order canonical")
     # the search takes it
     assert run(capsys, "induce", path, "--force")[0] == 0
+    for option in ("--r", "--ell"):
+        _assert_unrecognized(capsys, ("induce", path, "--order", "canonical",
+                                      option, "3", "--json"), option)
 
 
 def test_exponents(capsys, tmp_path):
@@ -172,23 +181,37 @@ def test_induce_canonical(capsys, tmp_path):
     path = build(capsys, tmp_path, "a.arr",
                  "--family", "intermediate", "--r", "3", "--ell", "3",
                  "--k", "1")
-    code, out, _ = run(capsys, "induce", path, "--order", "canonical",
-                       "--r", "3", "--ell", "3")
+    code, out, _ = run(capsys, "induce", path, "--order", "canonical")
     assert code == 0
     table = InductionTable.parse(out)
     assert table.rows[0].form == "a - b"
     assert table.final == (1, 4, 5)
-    # canonical chain must match the file's arrangement
-    other = build(capsys, tmp_path, "b.arr",
-                  "--family", "intermediate", "--r", "3", "--ell", "3",
-                  "--k", "2")
-    assert run(capsys, "induce", other, "--order", "canonical",
-               "--r", "3", "--ell", "3")[0] == 2
-    assert run(capsys, "induce", path, "--order", "canonical")[0] == 2
-    # a canonical chain of another dimension is a usage error, not a crash
-    code, out, err = run(capsys, "induce", path, "--order", "canonical",
-                         "--r", "3", "--ell", "4")
-    assert code == 2 and out == "" and err.startswith("error: --ell 4")
+    # canonical chain must match the file's arrangement: the size of
+    # intermediate(3, 3, 1), with ker(c) in place of ker(a)
+    text = Path(path).read_text().replace("1, 0, 0\n", "0, 0, 1\n")
+    assert text != Path(path).read_text()
+    swapped = tmp_path / "swapped.arr"
+    swapped.write_text(text)
+    code, out, err = run(capsys, "induce", str(swapped), "--order",
+                         "canonical")
+    assert code == 2 and out == "" and "does not replay" in err
+    # a file that is no intermediate(r, ell, ell - 2) is a usage error, not
+    # a crash or a verdict: dimensions 1 and 2, and sizes that give no
+    # integer r >= 2, the empty arrangement and intermediate(3, 3, 2)
+    files = {"dim1.arr": "arr v1 dim=1 zeta=1\n1\n",
+             "dim2.arr": "arr v1 dim=2 zeta=1\n1, 0\n0, 1\n",
+             "empty.arr": "arr v1 dim=3 zeta=1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    eleven = build(capsys, tmp_path, "b.arr",
+                   "--family", "intermediate", "--r", "3", "--ell", "3",
+                   "--k", "2")
+    for file in [*(str(tmp_path / name) for name in files), eleven]:
+        code, out, err = run(capsys, "induce", file, "--order",
+                             "canonical", "--json")
+        assert code == 2 and out == "", (file, code)
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.splitlines()[0]], err
 
 
 def test_zeta_order_above_the_cap_is_a_parse_error(capsys, tmp_path):
@@ -268,9 +291,12 @@ def test_dimension_above_the_cap(capsys, tmp_path):
 
 def test_root_order_above_the_cap_is_a_usage_error(capsys, tmp_path,
                                                    monkeypatch):
-    path = build(capsys, tmp_path, "a.arr",
-                 "--family", "intermediate", "--r", "3", "--ell", "3",
-                 "--k", "1")
+    # 3,004 = 1 + 1001 * 3 distinct rational planes: the size of
+    # intermediate(1001, 3, 1)
+    planes = [f"1, {i}, {j}" for i in range(55) for j in range(55)][:3004]
+    path = tmp_path / "wide.arr"
+    path.write_text("arr v1 dim=3 zeta=1\n" + "\n".join(planes) + "\n")
+    assert len(Arrangement.from_text(path.read_text())) == 3004
 
     def refuse(*args):
         raise AssertionError("a root of unity was built")
@@ -282,8 +308,7 @@ def test_root_order_above_the_cap_is_a_usage_error(capsys, tmp_path,
     for argv in (("build", "--family", "intermediate", "--r", r, "--ell", "2",
                   "--k", "0", "--out", str(out)),
                  ("classify", "--r", r, "--max-ell", "3"),
-                 ("induce", path, "--order", "canonical", "--r", r,
-                  "--ell", "3")):
+                 ("induce", str(path), "--order", "canonical")):
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "" and f"r <= {MAX_ORDER}" in err, argv
     assert not out.exists()

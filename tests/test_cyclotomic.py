@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from arrfree.cyclotomic import (
     InvalidParameter,
     MAX_NESTING,
     MAX_ORDER,
+    NotAScalar,
     check_header,
     cyclotomic_polynomial,
     format_linear,
@@ -120,6 +122,21 @@ def test_scalar_errors_are_arrfree_errors():
     for make in bad_values:
         with pytest.raises(InvalidParameter):
             make()
+
+
+@pytest.mark.parametrize("args, shown", [
+    ((3, ["a"]), "['a']"),
+    ((3, 1, "x"), "'x'"),
+    ((3, 1.5), "1.5"),
+    ((3, None), "None"),
+], ids=["str-coeff", "str-den", "float", "none"])
+def test_non_rational_coefficients_are_not_scalars(args, shown):
+    # named as a hyperplane's entry is, and still a TypeError
+    with pytest.raises(NotAScalar, match=re.escape(shown)) as exc:
+        Cyc(*args)
+    assert isinstance(exc.value, TypeError)
+    assert Cyc(3, Fraction(1, 2)) == Fraction(1, 2)
+    assert Cyc(3, [1, 2], 3) == Cyc(3, [Fraction(1, 3), Fraction(2, 3)])
 
 
 def test_conductor_finds_minimal_field():
