@@ -591,9 +591,34 @@ def _exact_keys(rows, pivots, covs, rest: int) -> dict:
     return groups
 
 
+def _key_vectors(covs, order: int, s: int):
+    """The covectors mod P, and True, when order has a root there and
+    `_certified` holds at s; else the covectors, and False."""
+    root = _mod_root(order)
+    if root and _certified(covs, s):
+        return [_mod_vector(v, root) for v in covs], True
+    return covs, False
+
+
+def _keys_over(vecs, mod: bool, x: int, k: int, rest: int) -> dict:
+    """The hyperplanes j in rest by their key over the rank-k flat x."""
+    if mod:
+        return _mod_keys(*_mod_span(vecs, x, k), vecs, rest)
+    return _exact_keys(*_rref((vecs[j] for j in _bits(x)), k), vecs, rest)
+
+
 def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
-    """Flat masks by rank up to max_rank (every rank when None), resumed
-    from the given lower levels.
+    """`_grow_levels` on arr up to max_rank (every rank when None), keyed
+    mod P when `_certified` holds for ranks up to max_rank + 1."""
+    limit = arr.dim if max_rank is None else max_rank
+    vecs, mod = _key_vectors([h.coeffs for h in arr.hyperplanes], arr.order,
+                             min(limit + 1, arr.dim))
+    return _grow_levels(vecs, mod, limit, levels)
+
+
+def _grow_levels(vecs, mod: bool, limit: int, levels):
+    """Flat masks by rank up to limit, resumed from the given lower levels,
+    of the hyperplanes with the given covectors, keyed mod P or exactly.
 
     Each flat is found once.  The rank-(k+1) flats above a rank-k flat X
     are X v H_j for the hyperplanes j outside X, and X v H_i = X v H_j
@@ -601,18 +626,11 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
     So the flats above X found earlier are skipped by their masks
     (`_above`), every other hyperplane gets one key, its residue modulo
     X's rref basis scaled to lead with 1, and each class of equal keys is
-    a new flat X v H_j.  The choice is made once per build: the keys are
-    read over F_P from a basis spanned from X's atoms when `_certified`
-    shows that ranks of up to max_rank + 1 covectors are the same mod P
-    as exactly, and are computed exactly over Q(zeta_n) otherwise.  Only
-    the levels carry over from one rank to the next, so a resumed build
-    runs as a fresh one."""
-    m = len(arr)
-    covs = [h.coeffs for h in arr.hyperplanes]
-    limit = arr.dim if max_rank is None else max_rank
-    root = _mod_root(arr.order)
-    mcovs = ([_mod_vector(v, root) for v in covs] if root and
-             _certified(covs, min(limit + 1, arr.dim)) else None)
+    a new flat X v H_j.  The choice of keys is made once per build, by
+    the caller; mod P, X's basis is spanned from its atoms.  Only the
+    levels carry over from one rank to the next, so a resumed build runs
+    as a fresh one."""
+    m = len(vecs)
     levels = list(levels)
     k = len(levels) - 1
     full = (1 << m) - 1
@@ -624,12 +642,7 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
             rest = full & ~_above(x, by_atom)
             if not rest:
                 continue
-            if mcovs:
-                groups = _mod_keys(*_mod_span(mcovs, x, k - 1), mcovs, rest)
-            else:
-                exact = _rref((covs[j] for j in _bits(x)), k - 1)
-                groups = _exact_keys(*exact, covs, rest)
-            for g in groups.values():
+            for g in _keys_over(vecs, mod, x, k - 1, rest).values():
                 mask = x | g
                 found.append(mask)
                 for a in _bits(mask):
@@ -638,6 +651,29 @@ def _build_levels(arr: Arrangement, max_rank=None, levels=((0,),)):
             break
         levels.append(tuple(sorted(found)))
     return tuple(levels)
+
+
+def _restriction_exponents(keys, mod: bool, dim: int, order: int):
+    """Exponents, or None, of the restriction to a rank-1 flat given by
+    the keys of `_keys_over` in dim coordinates: mod P a key's digits
+    base P, else its (num, den) pairs.  In key order, leading zeros
+    first as in `Arrangement`, the builder keys far fewer flats than in
+    hash order.  The levels end at the centre, as in
+    `Arrangement.intersection_lattice`."""
+    vecs = []
+    for key in sorted(keys):
+        if mod:
+            vec = [0] * dim
+            for t in range(dim - 1, -1, -1):
+                key, vec[t] = divmod(key, _P)
+        else:
+            vec = [Cyc._make(order, num, den) for num, den in key]
+        vecs.append(vec)
+    levels = _grow_levels(vecs, mod, dim - 1, ((0,),))
+    full = (1 << len(vecs)) - 1
+    if levels[-1] != (full,):
+        levels += ((full,),)
+    return _integer_roots(_charpoly(levels, dim), len(vecs))
 
 
 class Lattice:

@@ -7,20 +7,24 @@ exponents of the smaller arrangement.  Such chains depend only on the
 intersection lattice, so the search builds L(A) once, exactly, and then
 works on bitmasks of its flats.  Certificates carry all intermediate
 exponent multisets with them; only replaying a chain, the independent
-check, recomputes restrictions with exact arithmetic.  The module keeps
-no state between calls: every memo lives inside the call that fills it.
+check, recomputes each restriction's lattice, from the chain's
+covectors, mod P under the chain's certificate and exactly otherwise.
+The module keeps no state between calls: every memo lives inside the
+call that fills it.
 
 Refutations of rank-four arrangements report the level at which the
 breadth-first necessary-condition scan dies; rank-three refutations
 report how many subarrangements the exhaustive search visited.
 """
 
+import math
 import re as _re
 from numbers import Real
 from typing import NamedTuple
 
 from .arrangement import (Arrangement, Hyperplane, RankLimit, _bits,
-                          _contract, _sub_exponents)
+                          _contract, _key_vectors, _keys_over,
+                          _restriction_exponents, _sub_exponents)
 from .cyclotomic import (ArrfreeError, FormatError, InvalidParameter,
                          check_header)
 
@@ -407,21 +411,10 @@ class TableReport:
         return "; ".join(f"row {f.row}: {f.message}" for f in self.failures)
 
 
-def _exact_step(larger, h, exps, delta, memo, claim=None):
-    """Check adding (delta 1) or removing (delta -1) h, a member of larger,
-    exactly.  Returns (restriction, its exponents, the exponents after the
-    step), the restriction None when h is alone in larger, or the message
-    of the first failed check.  memo, made for one chain, maps a
-    restriction's root order and hyperplane keys to its exponents, so no
-    Cyc is hashed."""
-    if len(larger) == 1:
-        restr, rexp = None, (0,) * (larger.dim - 1)
-    else:
-        restr = larger.restricted(h)
-        key = (restr.order, tuple(g.key() for g in restr))
-        rexp = memo.get(key, _MISSING)
-        if rexp is _MISSING:
-            rexp = memo[key] = restr.candidate_exponents()
+def _check_step(h, exps, rexp, delta, claim=None):
+    """Check adding (delta 1) or removing (delta -1) h, whose restriction
+    has the exponents rexp, None when they do not split.  Returns the
+    exponents after the step, or the message of the first failed check."""
     if rexp is None:
         return (f"restriction of {h.form()} has a non-splitting"
                 " characteristic polynomial")
@@ -432,15 +425,37 @@ def _exact_step(larger, h, exps, delta, memo, claim=None):
     if nxt is None:
         return (f"restriction exponents {_render_exps(rexp)} do not sit"
                 f" inside {_render_exps(exps)} leaving one entry")
-    return restr, rexp, nxt
+    return nxt
+
+
+def _chain_restrictions(dim, order, covs):
+    """The exponents of each row's restriction, when asked for: for the
+    first n covectors, distinct and at one root order, restricted to the
+    n-th, H, whose hyperplanes are the keys of the others over H
+    (`_keys_over`).  Mod P when `_certified` holds for the whole chain,
+    so for every subset, else exactly; a set S of residues has rank
+    rank(S u {H}) - 1 both ways, so the lattice mod P is the exact one.
+    memo, in this one call, maps a set of keys to its exponents."""
+    vecs, mod = _key_vectors(covs, order, dim)
+    memo = {}
+    for n in range(len(vecs)):
+        keys = frozenset(_keys_over(vecs, mod, 1 << n, 1, (1 << n) - 1))
+        rexp = memo.get(keys, _MISSING)
+        if rexp is _MISSING:
+            rexp = memo[keys] = _restriction_exponents(keys, mod, dim - 1,
+                                                       order)
+        yield rexp
 
 
 def _replay_chain(dim, order, hyperplanes, claimed=None, final=None):
+    base = Arrangement(dim, (), order)
+    order = math.lcm(order, *(h.order for h in hyperplanes))
+    covs = [h.promoted(order).coeffs for h in hyperplanes]
+    rexps = _chain_restrictions(dim, order, covs)
     exps = (0,) * dim
-    arr = Arrangement(dim, (), order)
+    seen = set()
     steps = []
     failures = []
-    memo = {}
     for n, h in enumerate(hyperplanes, start=1):
         claim_before, claim_restr = claimed[n - 1] if claimed else (exps, None)
         if claim_before != exps:
@@ -448,18 +463,23 @@ def _replay_chain(dim, order, hyperplanes, claimed=None, final=None):
                 n, f"claims exponents {_render_exps(claim_before)} but the"
                    f" chain reaches {_render_exps(exps)}"))
             break
-        if h in arr:
+        if h.dim != dim:
+            raise InvalidParameter(f"hyperplane of dimension {h.dim} in a"
+                                   f" dimension-{dim} arrangement")
+        # normalized covectors at one order are equal when their
+        # (num, den) pairs are
+        key = tuple((c.num, c.den) for c in covs[n - 1])
+        if key in seen:
             failures.append(RowFailure(n, f"hyperplane {h.form()} repeated"))
             break
-        bigger = arr.with_hyperplane(h)
-        step = _exact_step(bigger, h, exps, 1, memo, claim_restr)
-        if isinstance(step, str):
-            failures.append(RowFailure(n, step))
+        seen.add(key)
+        rexp = next(rexps)
+        nxt = _check_step(h, exps, rexp, 1, claim_restr)
+        if isinstance(nxt, str):
+            failures.append(RowFailure(n, nxt))
             break
-        _, rexp, nxt = step
         steps.append(InductionStep(h, exps, rexp))
         exps = nxt
-        arr = bigger
     if not failures and final is not None and tuple(final) != exps:
         failures.append(RowFailure(
             len(steps) + 1,
@@ -467,8 +487,7 @@ def _replay_chain(dim, order, hyperplanes, claimed=None, final=None):
             f" {_render_exps(exps)}"))
     if failures:
         return TableReport(False, failures, None)
-    cert = InductionCertificate(Arrangement(dim, (), order), steps, exps)
-    return TableReport(True, (), cert)
+    return TableReport(True, (), InductionCertificate(base, steps, exps))
 
 
 def certify_chain(dim, order, hyperplanes) -> TableReport:
@@ -480,10 +499,11 @@ def certify_chain(dim, order, hyperplanes) -> TableReport:
 def verify_induction_table(table) -> TableReport:
     """Replay a claimed addition chain, recomputing every restriction.
 
-    Each restriction's exponents are recomputed exactly, but whether the
-    restriction is itself free is not decided, so by Terao's addition
-    theorem a verified chain certifies inductive freeness only when the
-    restrictions have rank <= 2, that is for dim <= 3.  A certificate
+    Each restriction's exponents are recomputed from its lattice, exact
+    mod P under the chain's certificate (`_chain_restrictions`), but
+    whether the restriction is itself free is not decided, so by Terao's
+    addition theorem a verified chain certifies inductive freeness only
+    when the restrictions have rank <= 2, that is for dim <= 3.  A certificate
     from is_inductively_free decides every restriction.
     """
     if isinstance(table, str):
@@ -676,7 +696,6 @@ def verify_recursion_witness(witness: RecursionWitness,
         return _move_fail(0, "base arrangement is not inductively free")
     arr = witness.base
     exps = base_res.exponents
-    memo = {}
     for k, mv in enumerate(witness.moves, start=1):
         h = mv.hyperplane
         if mv.kind == "add":
@@ -689,10 +708,14 @@ def verify_recursion_witness(witness: RecursionWitness,
                 return _move_fail(k, f"{h.form()} is not present")
             larger, nxt_arr = arr, arr.without_hyperplane(h)
             delta = -1
-        step = _exact_step(larger, h, exps, delta, memo)
-        if isinstance(step, str):
-            return _move_fail(k, step)
-        restr, _, nxt_exps = step
+        if len(larger) == 1:
+            restr, rexp = None, (0,) * (larger.dim - 1)
+        else:
+            restr = larger.restricted(h)
+            rexp = restr.candidate_exponents()
+        nxt_exps = _check_step(h, exps, rexp, delta)
+        if isinstance(nxt_exps, str):
+            return _move_fail(k, nxt_exps)
         try:
             certified = restr is None or is_inductively_free(restr, force)
         except RankLimit:

@@ -1,6 +1,9 @@
+import inspect
 import json
+import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +24,9 @@ from arrfree.catalog import (
     intermediate,
     restriction_by_type,
 )
-from arrfree import freeness
-from arrfree.cyclotomic import FormatError, InvalidParameter
+from arrfree import arrangement, freeness
+from arrfree.cyclotomic import (Cyc, FormatError, InvalidParameter,
+                                root_of_unity)
 from arrfree.freeness import (
     InductionCertificate,
     InductionStep,
@@ -47,6 +51,10 @@ from arrfree.freeness import (
     verify_induction_table,
     verify_recursion_witness,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLES = ROOT / "fixtures" / "tables"
+BENCH_INPUTS = ROOT / "bench" / "inputs"
 
 
 def boolean(dim):
@@ -242,19 +250,33 @@ def _canonical_table(r):
     return emit_induction_table(intermediate(r, 6, 4), rep.certificate)
 
 
+def _mutant(module, fn, *edits, **names):
+    """fn, a function of module, with each (old, new) piece of its source
+    replaced; names are added to its globals."""
+    src = inspect.getsource(fn)
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(module), **names)
+    exec(src, namespace)
+    return namespace[fn.__name__]
+
+
 def _check_replay_memo(monkeypatch, tables):
-    """A replay computes the exponents of each distinct restriction of its
+    """A replay builds the lattice of each distinct restriction of its
     chain once, and carries nothing over to the next replay."""
     calls = []
-    real = Arrangement.candidate_exponents
+    real = arrangement._grow_levels
 
-    def counting(self):
-        calls.append(self)
-        assert len(calls) <= 13, "a restriction's exponents were recomputed"
-        return real(self)
+    def counting(vecs, *args):
+        # the first row's restriction, with no hyperplanes, is not counted
+        if vecs:
+            calls.append(vecs)
+            assert len(calls) <= 13, "a restriction's lattice was rebuilt"
+        return real(vecs, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(Arrangement, "candidate_exponents", counting)
+        m.setattr(arrangement, "_grow_levels", counting)
         # intermediate(r, 6, 4): 4 + 15 r rows, all but the first restricted
         for r in (3, 3, 4):
             calls.clear()
@@ -267,17 +289,166 @@ def test_replay_memo_lives_in_one_call(monkeypatch):
     _check_replay_memo(monkeypatch, tables)
 
     # broken memos: none, one for each row, one shared between calls
-    real = freeness._exact_step
-    shared, by_row = {}, {}
-    for pick in (lambda h: {}, lambda h: by_row.setdefault(h.key(), {}),
-                 lambda h: shared):
-        def step(larger, h, exps, delta, memo, claim=None, pick=pick):
-            return real(larger, h, exps, delta, pick(h), claim)
-
+    broken = (
+        ("rexp = memo.get(keys, _MISSING)", "rexp = _MISSING"),
+        ("        keys = frozenset(",
+         "        memo = {}\n        keys = frozenset("),
+        ("memo = {}", "memo = _SHARED"),
+    )
+    for edit in broken:
+        chain = _mutant(freeness, freeness._chain_restrictions, edit,
+                        _SHARED={})
         with monkeypatch.context() as m:
-            m.setattr(freeness, "_exact_step", step)
+            m.setattr(freeness, "_chain_restrictions", chain)
             with pytest.raises(AssertionError):
                 _check_replay_memo(monkeypatch, tables)
+
+
+def _table_chain(path):
+    table = InductionTable.parse(path.read_text())
+    return table.dim, table.order, [
+        Hyperplane.parse(row.form, table.order, table.dim)
+        for row in table.rows]
+
+
+@pytest.fixture(scope="module")
+def chain_cases():
+    """Chains, each with every row's restriction exponents computed from
+    the exact restriction: the shipped tables, the canonical orders, a
+    rational chain whose rows 4 and 6 restrict to three planes each, of
+    rank 2 and 3, with a non-splitting row 5 between them, and a
+    dimension-3 arrangement over Q(zeta_41), which has no root mod P."""
+    chains = [_table_chain(path) for path in sorted(TABLES.glob("*.tbl"))]
+    chains += [_table_chain(BENCH_INPUTS / f"chain_{r}_6_4.tbl")
+               for r in (3, 4)]
+    chains += [(ell, r, canonical_induction_order(r, ell))
+               for r in (2, 3, 4) for ell in (3, 4, 5)]
+    chains.append((4, 1, [Hyperplane.parse(form, 1, 4) for form in (
+        "c + d", "b", "b + d", "c", "a + b - c", "d")]))
+    z = root_of_unity(41)
+    covs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, z, z ** 2], [1, 1, 1]]
+    covs += [[1, -z ** j, 0] for j in range(4)]
+    covs += [[0, 1, -z ** j] for j in range(3)]
+    chains.append((3, 41, [Hyperplane(v, 41) for v in covs]))
+    cases = []
+    for dim, order, hs in chains:
+        expected = []
+        for n in range(1, len(hs) + 1):
+            larger = Arrangement(dim, hs[:n], order)
+            expected.append(larger.restricted(hs[n - 1]).candidate_exponents())
+        cases.append((dim, order, hs, expected))
+    return cases
+
+
+def _rows_match_restrictions(cases) -> bool:
+    for dim, order, hs, expected in cases:
+        order = math.lcm(order, *(h.order for h in hs))
+        covs = [h.promoted(order).coeffs for h in hs]
+        if list(freeness._chain_restrictions(dim, order, covs)) != expected:
+            return False
+    return True
+
+
+def test_row_exponents_match_the_restriction(chain_cases, monkeypatch):
+    assert len(chain_cases) == 20
+    certified = []
+    real = freeness._key_vectors
+
+    def recording(*args):
+        vecs, mod = real(*args)
+        certified.append(mod)
+        return vecs, mod
+
+    monkeypatch.setattr(freeness, "_key_vectors", recording)
+    assert _rows_match_restrictions(chain_cases)
+    # every chain but the one over Q(zeta_41) is read mod P
+    assert certified == [True] * 19 + [False]
+    with monkeypatch.context() as m:
+        m.setattr(arrangement, "_certified", lambda covs, s: False)
+        certified.clear()
+        assert _rows_match_restrictions(chain_cases)
+        assert certified == [False] * 20
+
+
+def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
+    mod_span, rref = arrangement._mod_span, arrangement._rref
+
+    def last_pivots(basis):
+        rows, _ = basis
+        return rows, tuple(max(c for c, v in enumerate(r) if v) for r in rows)
+
+    broken = (
+        # a residue left unscaled, mod P and exactly
+        (arrangement, "_mod_keys", _mutant(
+            arrangement, arrangement._mod_keys,
+            ("inv = pow(next(filter(None, vals)), -1, _P)", "inv = 1"))),
+        (arrangement, "_exact_keys", _mutant(
+            arrangement, arrangement._exact_keys,
+            ("inv = next(filter(None, vals)).inverse()", "inv = 1"))),
+        # a memo key too coarse: the restriction's size
+        (freeness, "_chain_restrictions", _mutant(
+            freeness, freeness._chain_restrictions,
+            ("memo.get(keys, _MISSING)", "memo.get(len(keys), _MISSING)"),
+            ("memo[keys] =", "memo[len(keys)] ="))),
+        # a pivot read from the last nonzero coordinate, not the first
+        (arrangement, "_mod_span",
+         lambda mcovs, x, k: last_pivots(mod_span(mcovs, x, k))),
+        (arrangement, "_rref", lambda vecs, rank=None: last_pivots(
+            rref(vecs, rank))),
+    )
+    for module, name, fn in broken:
+        with monkeypatch.context() as m:
+            if name in ("_exact_keys", "_rref"):
+                m.setattr(arrangement, "_certified", lambda covs, s: False)
+            m.setattr(module, name, fn)
+            try:
+                caught = not _rows_match_restrictions(chain_cases)
+            except RuntimeError:
+                # the generator met a residue of zero, read as no key
+                caught = True
+            assert caught, name
+
+
+def test_certified_replay_does_no_exact_restriction(chain_cases,
+                                                    monkeypatch):
+    """A certified chain replays from its covectors mod P: no restricted
+    arrangement, no Arrangement but the empty base, no inverse in
+    Q(zeta_n)."""
+    calls = Counter()
+    for owner, name in ((Arrangement, "__init__"),
+                        (Arrangement, "restricted"), (Cyc, "inverse")):
+        real = getattr(owner, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    for dim, order, hs, expected in chain_cases:
+        if order == 41:
+            continue
+        calls.clear()
+        report = certify_chain(dim, order, hs)
+        if report:
+            assert [s.restriction_exps for s in report.certificate.steps] \
+                == expected
+        assert calls == {"__init__": 1}, calls
+
+
+def test_replay_names_a_repeated_hyperplane():
+    text = ("table v1 dim=3 zeta=3\n0,0,0 | a | 0,0\n0,0,1 | b | 0,1\n"
+            "0,1,1 | 2*a | 0,1\n1,1,1 | |\n")
+    assert verify_induction_table(text).describe() \
+        == "row 3: hyperplane a repeated"
+    # the same hyperplane given over Q and over Q(zeta_3)
+    z = root_of_unity(3)
+    hs = [Hyperplane([1, 0, 0], 1), Hyperplane([0, 1, 0], 3),
+          Hyperplane([1, -z, 0], 3), Hyperplane([2, 0, 0], 3)]
+    assert certify_chain(3, 1, hs).describe() \
+        == "row 4: hyperplane a repeated"
+    assert certify_chain(3, 1, hs[:3]).exponents == (0, 1, 2)
+    with pytest.raises(InvalidParameter, match="dimension 2"):
+        certify_chain(3, 1, [Hyperplane([1, 0, 0]), Hyperplane([1, 1])])
 
 
 def test_canonical_chain_pattern():
