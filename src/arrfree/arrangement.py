@@ -545,12 +545,19 @@ def _certified(covs, s: int) -> bool:
     has norm at least P; so w^(s phi(n)) < P^2 keeps every nonzero such
     minor nonzero mod P.  A covector leads with 1, so its denominators
     stay below P too."""
-    w = 1
-    for v in covs:
-        scale = math.lcm(*(c.den for c in v))
-        w = max(w, sum((sum(map(abs, c.num)) * (scale // c.den)) ** 2
-                       for c in v))
-    e = s * len(covs[0][0].num) if covs else 0
+    return _norm_bound(map(_l1, covs), s * len(covs[0][0].num) if covs else 0)
+
+
+def _l1(vec) -> list[int]:
+    """The l1 size of each entry of vec with its denominators cleared: an
+    entry's sum of |power-basis coefficients| times lcm(dens) / den."""
+    scale = math.lcm(*(c.den for c in vec))
+    return [sum(map(abs, c.num)) * (scale // c.den) for c in vec]
+
+
+def _norm_bound(sizes, e: int) -> bool:
+    """w^e < P^2, for w the largest sum of squares of the `_l1` sizes."""
+    w = max([1, *(sum(a * a for a in v) for v in sizes)])
     # w^e >= 2^(e (bits(w) - 1)), so this first test bounds the power
     return e * (w.bit_length() - 1) < 2 * _P.bit_length() and w ** e < _P ** 2
 

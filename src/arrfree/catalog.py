@@ -7,6 +7,12 @@ reflection arrangements are built from generator matrices shipped in
 data/groups.dat: the mirrors of the generators that act as reflections
 are closed under the generator action, and the closure is gated by the
 expected mirror count, so wrong generator data cannot pass silently.
+The closure keys each mirror by its covector mod a fixed prime P: an
+image's key is its mirror's residue times the generator's residue
+matrix, and only a new key costs an exact image, so each mirror's exact
+covector is computed once.  The keys stand when a norm bound over the
+mirrors and their images shows that covectors differing exactly differ
+mod P; otherwise the closure runs again on exact keys.
 
 Restrictions of a reflection arrangement are addressed by a type tag
 naming the localization at a flat by the nonzero roots of its
@@ -18,12 +24,19 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
+from operator import mul
 
 from arrfree.arrangement import (
+    _P,
     Arrangement,
     Flat,
     Hyperplane,
     RankLimit,
+    _l1,
+    _mod_root,
+    _mod_span,
+    _mod_vector,
+    _norm_bound,
     _permute_mask,
     _rref,
     _sub_exponents,
@@ -180,6 +193,9 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
                 expected = _read_int(m.group(4))
             except FormatError as exc:
                 raise CatalogDataError(f"{name} line {lineno}: {exc}") from exc
+            if expected < 1:
+                raise CatalogDataError(
+                    f"{name} line {lineno}: hyperplanes must be positive")
             continue
         if name is None:
             raise CatalogDataError(
@@ -249,9 +265,94 @@ def _transform(h: Hyperplane, mat, order: int) -> Hyperplane:
     return Hyperplane(out, order)
 
 
+def _residues(g, seeds):
+    """The generators' columns and the seed mirrors mod P, or None when the
+    order has no root mod P, or an entry's denominator is divisible by P,
+    or a generator is singular mod P.  A nonsingular generator sends a
+    nonzero residue to a nonzero one, so every image has a key."""
+    root = _mod_root(g.order)
+    if not root:
+        return None
+    mats = [[_mod_vector(row, root) for row in mat] for mat in g.generators]
+    vecs = [_mod_vector(h.coeffs, root) for h in seeds]
+    full = (1 << g.dim) - 1
+    if None in vecs or any(None in m or len(_mod_span(m, full, g.dim)[1])
+                           < g.dim for m in mats):
+        return None
+    return [list(zip(*m)) for m in mats], [tuple(v) for v in vecs]
+
+
+def _image_key(vec, cols) -> tuple:
+    """The key of a mirror's image: its residue vec times the generator's
+    residue matrix, given by its columns, scaled to lead with 1."""
+    vals = [sum(map(mul, vec, col)) % _P for col in cols]
+    inv = pow(next(filter(None, vals)), -1, _P)
+    return tuple(v * inv % _P for v in vals)
+
+
+def _close(g, seeds, residues):
+    """The mirrors in the order found, and for each generator the index of
+    the image of each mirror.  A mirror's key is its covector mod P from
+    `_residues`, or with residues None the exact `Hyperplane.key`; only a
+    new key costs an exact `_transform`.  Distinct keys are distinct
+    mirrors in both modes, so the count gate can refuse an excess here."""
+    cols, vecs = residues or ((None,) * len(g.generators),
+                              [h.key() for h in seeds])
+    mirrors: list = []
+    keys: list = []
+    index: dict = {}
+    images = [[] for _ in g.generators]
+
+    def add(key, h) -> int:
+        if len(index) >= g.expected:
+            raise CatalogDataError(
+                f"{g.name}: mirror closure exceeds the expected {g.expected}")
+        index[key] = len(mirrors)
+        mirrors.append(h)
+        keys.append(key)
+        return index[key]
+
+    for key, h in zip(vecs, seeds):
+        if key not in index:
+            add(key, h)
+    # breadth first: mirror a's images are taken after those of 0 .. a-1
+    a = 0
+    while a < len(mirrors):
+        for mat, col, image in zip(g.generators, cols, images):
+            if residues:
+                img, key = None, _image_key(keys[a], col)
+            else:
+                img = _transform(mirrors[a], mat, g.order)
+                key = img.key()
+            b = index.get(key)
+            if b is None:
+                b = add(key, img or _transform(mirrors[a], mat, g.order))
+            image.append(b)
+        a += 1
+    return mirrors, images
+
+
+def _closure_certified(mirrors, generators) -> bool:
+    """`_certified` at s = 2 over the mirrors and all their generator
+    images: then covectors that differ exactly differ mod P.  An image's
+    entries are bounded without computing it: with denominators cleared,
+    entry j of h times g is at most sum_i l1(h_i) l1(g_ij)."""
+    sizes = [_l1(h.coeffs) for h in mirrors]
+    bounds = list(sizes)
+    for mat in generators:
+        flat = _l1([c for row in mat for c in row])
+        cols = [flat[j::len(mat)] for j in range(len(mat))]
+        bounds += [[sum(map(mul, a, col)) for col in cols] for a in sizes]
+    return _norm_bound(bounds, 2 * len(mirrors[0].coeffs[0].num))
+
+
 def reflection_arrangement(g) -> Arrangement:
     """Mirrors of the group: orbit closure of the generator mirrors; also
-    records each generator as a permutation of them in g._permutations."""
+    records each generator as a permutation of them in g._permutations.
+
+    The closure runs on keys mod P when `_residues` has them, and stands
+    when `_closure_certified` holds: then the key lookups are the exact
+    images.  Otherwise it runs again on the exact keys."""
     if isinstance(g, str):
         g = group(g)
     if g._arrangement is not None:
@@ -263,32 +364,18 @@ def reflection_arrangement(g) -> Arrangement:
             seeds.append(Hyperplane(cov, g.order))
     if not seeds:
         raise CatalogDataError(f"{g.name}: no generator acts as a reflection")
-    seen = {h.key(): h for h in seeds}
-    # images[i][key]: generator i's image of the mirror with that key
-    images = [{} for _ in g.generators]
-    frontier = list(seen.values())
-    while frontier:
-        fresh = []
-        for h in frontier:
-            for mat, image in zip(g.generators, images):
-                img = image[h.key()] = _transform(h, mat, g.order)
-                key = img.key()
-                if key not in seen:
-                    if len(seen) >= g.expected:
-                        raise CatalogDataError(
-                            f"{g.name}: mirror closure exceeds the expected "
-                            f"{g.expected}")
-                    seen[key] = img
-                    fresh.append(img)
-        frontier = fresh
-    if len(seen) != g.expected:
+    residues = _residues(g, seeds)
+    mirrors, images = _close(g, seeds, residues)
+    if residues and not _closure_certified(mirrors, g.generators):
+        mirrors, images = _close(g, seeds, None)
+    if len(mirrors) != g.expected:
         raise CatalogDataError(
-            f"{g.name}: mirror closure stopped at {len(seen)}, expected "
+            f"{g.name}: mirror closure stopped at {len(mirrors)}, expected "
             f"{g.expected}")
-    arr = Arrangement(g.dim, seen.values(), g.order)
-    g._permutations = tuple(
-        tuple(arr.index_of(image[h.key()]) for h in arr.hyperplanes)
-        for image in images)
+    arr = Arrangement(g.dim, mirrors, g.order)
+    pos = [arr.index_of(h) for h in mirrors]
+    g._permutations = tuple(tuple(pos[b] for _, b in sorted(zip(pos, image)))
+                            for image in images)
     g._arrangement = arr
     return arr
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
-from arrfree.arrangement import (Hyperplane, RankLimit, ZeroDimensional,
-                                 lattice_isomorphic)
+from arrfree import catalog
+from arrfree.arrangement import (Arrangement, Hyperplane, RankLimit,
+                                 ZeroDimensional, lattice_isomorphic)
 from arrfree.catalog import (
     AmbiguousType,
     CatalogDataError,
     GroupPresentation,
     InvalidParameter,
     NoSuchType,
+    _closure_certified,
+    _mirror_covector,
+    _residues,
     _transform,
     canonical_induction_order,
     flat_orbits,
@@ -132,6 +138,7 @@ def test_group_loader_checks_its_header():
             ("dim=2 zeta=0 hyperplanes=1", "must be positive"),
             ("dim=2 zeta=1009 hyperplanes=1", "above the cap"),
             ("dim=26 zeta=1 hyperplanes=1", "above the cap"),
+            ("dim=2 zeta=1 hyperplanes=0", "hyperplanes must be positive"),
             (f"dim=2 zeta=1 hyperplanes={'1' * 5000}", "cannot read")):
         with pytest.raises(CatalogDataError, match=f"X line 2: .*{reason}"):
             load_groups(f"# comment\ngroup X {header}\n{body}")
@@ -146,6 +153,16 @@ def test_closure_cardinality_gates():
     high = load_groups(G333_TEXT.replace("hyperplanes=9", "hyperplanes=10"))
     with pytest.raises(CatalogDataError, match="stopped at 9"):
         reflection_arrangement(high["G(3,3,3)"])
+
+
+def test_closure_counts_seed_mirrors():
+    # two commuting reflections: the seed mirrors a and b alone exceed 1,
+    # under residue keys (zeta=1) and exact keys (zeta=41, no root mod P)
+    for order in (1, 41):
+        g = load_groups(f"group X dim=2 zeta={order} hyperplanes=1\n"
+                        "-1, 0\n0, 1\n\n1, 0\n0, -1\n")["X"]
+        with pytest.raises(CatalogDataError, match="exceeds the expected 1"):
+            reflection_arrangement(g)
 
 
 def test_restriction_by_type_on_monomial():
@@ -337,3 +354,111 @@ def test_pair_flat_restriction_of_monomial():
         whole = intermediate(3, ell, 0)
         restricted = whole.restricted(Hyperplane([1, -z] + [0] * (ell - 2)))
         assert lattice_isomorphic(restricted, intermediate(3, p, 1))
+
+
+# ---- the residue closure against the exact one it replaced ----
+
+# B3 with rational generators; zeta=41 has no root mod P
+B3_ZETA41_TEXT = """
+group B3 dim=3 zeta=41 hyperplanes=9
+0, 1, 0
+1, 0, 0
+0, 0, 1
+
+1, 0, 0
+0, 0, 1
+0, 1, 0
+
+-1, 0, 0
+0, 1, 0
+0, 0, 1
+"""
+
+
+def _fresh_groups() -> dict:
+    """Every shipped presentation, parsed again so that no closure is
+    cached on it."""
+    text = resources.files("arrfree").joinpath("data/groups.dat").read_text()
+    return load_groups(text)
+
+
+def _seeds(g) -> list:
+    covs = (_mirror_covector(mat, g.dim) for mat in g.generators)
+    return [Hyperplane(cov, g.order) for cov in covs if cov is not None]
+
+
+def _reference_closure(g):
+    """The exact closure: every (mirror, generator) image is transformed
+    exactly and keyed by `Hyperplane.key`.  Returns the arrangement text
+    and the generator permutations."""
+    seen = {h.key(): h for h in _seeds(g)}
+    images = [{} for _ in g.generators]
+    frontier = list(seen.values())
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for mat, image in zip(g.generators, images):
+                img = image[h.key()] = _transform(h, mat, g.order)
+                if img.key() not in seen:
+                    seen[img.key()] = img
+                    fresh.append(img)
+        frontier = fresh
+    arr = Arrangement(g.dim, seen.values(), g.order)
+    perms = tuple(
+        tuple(arr.index_of(image[h.key()]) for h in arr.hyperplanes)
+        for image in images)
+    return arr.to_text(), perms
+
+
+def _closure(g):
+    return reflection_arrangement(g).to_text(), g._permutations
+
+
+def test_residue_closure_matches_reference():
+    groups = _fresh_groups()
+    groups["G(3,3,3)"] = g333()
+    groups.update(load_groups(B3_ZETA41_TEXT))
+    assert _residues(groups["B3"], _seeds(groups["B3"])) is None
+    for name, g in groups.items():
+        assert _closure(g) == _reference_closure(g), name
+
+
+def test_closure_certificate_covers_generator_images():
+    # G24 and G27 certify their mirrors alone (`_certified` at s = 2) but
+    # not their images, so they take the exact keys
+    for name, g in _fresh_groups().items():
+        arr = reflection_arrangement(g)
+        assert _closure_certified(arr.hyperplanes, g.generators) == \
+            (name not in ("G24", "G27")), name
+
+
+def _counting_transform(monkeypatch) -> list:
+    calls = []
+
+    def counted(h, mat, order):
+        calls.append(1)
+        return _transform(h, mat, order)
+
+    monkeypatch.setattr(catalog, "_transform", counted)
+    return calls
+
+
+def test_certified_closure_transforms_each_new_mirror_once(monkeypatch):
+    calls = _counting_transform(monkeypatch)
+    g = _fresh_groups()["G34"]
+    seeds = {h.key() for h in _seeds(g)}
+    assert len(reflection_arrangement(g)) - len(seeds) == len(calls) > 0
+
+
+def test_uncertified_closure_takes_exact_keys(monkeypatch):
+    monkeypatch.setattr(catalog, "_closure_certified", lambda *args: False)
+    calls = _counting_transform(monkeypatch)
+    groups = _fresh_groups()
+    for name in ("G33", "G34"):
+        g = groups[name]
+        del calls[:]
+        text, perms = _closure(g)
+        new = g.expected - len({h.key() for h in _seeds(g)})
+        # the residue run, then one transform per (mirror, generator)
+        assert len(calls) == new + g.expected * len(g.generators)
+        assert (text, perms) == _reference_closure(g)

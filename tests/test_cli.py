@@ -673,3 +673,17 @@ def test_console_script():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_agree"]
     assert "elapsed" in proc.stderr
+
+
+def test_package_runs_as_a_module(capsys):
+    # python -m arrfree is the same command line as arrfree.cli
+    argv = ["build", "--group", "g25"]
+    code = main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    proc = subprocess.run([sys.executable, "-m", "arrfree", *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (code, "") == (2, "")
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("error:")] == errors
+    assert len(errors) == 1

@@ -1,9 +1,12 @@
 """Pinned CLI outputs: the sha256 of stdout and the exit code of each run.
 
-The pins were recorded before the replay read restrictions mod P, from
-exact restrictions, so a change to how a chain is replayed cannot change
-these bytes unnoticed.  Every file is read by a relative name from one
-directory, since the JSON payload names the file it read.
+The replay pins were recorded before the replay read restrictions mod P,
+from exact restrictions, so a change to how a chain is replayed cannot
+change these bytes unnoticed.  The catalog pins (`build --group`, its
+restrictions, and a digest of `flat_orbits`) were recorded before the
+mirror closure ran on residues mod P, from the exact closure.  Every
+table is read by a relative name from one directory, since the JSON
+payload names the file it read.
 
 The corrupted copies raise the last claimed restriction exponent of one
 row by a fixed amount.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from arrfree.catalog import intermediate
+from arrfree.catalog import flat_orbits, group, group_names, intermediate
 from arrfree.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,3 +169,126 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     got = outputs(tmp_path, capsys)
     assert len(got) == 37
     assert got == GOLDEN
+
+
+# the restrictions of the benchmark's restrict workload
+RESTRICTIONS = (("G31", "A1"), ("G33", "A1"), ("G33", "A1^2"),
+                ("G33", "A2"), ("G34", "A1"), ("G34", "A1^2"), ("G34", "A2"))
+
+CATALOG_GOLDEN = {
+    "build --group G23 --json": (
+        0, "8a87ed8f1e38bacdf149c517f94a998ad90cba409725e53cc73bbda0b215562b"),
+    "build --group G24 --json": (
+        0, "5dfca0566eab8361a40b1dc9b123c2ce759e84a81d5cc176e51c258ec8abd49f"),
+    "build --group G25 --json": (
+        0, "d1de9d3f0a91585cdffaf33dee488aa2ed2ff9d64172181a3f39be91ec26f380"),
+    "build --group G26 --json": (
+        0, "a547d62f4892363ec9f5043a3cc9bda6a52d0249d5d7622d086de25ee8ffe6ea"),
+    "build --group G27 --json": (
+        0, "3d3f2f29a23ce93c92c15665a03cfb4e10ecd566f581cc9848fd8c830ec645ce"),
+    "build --group G28 --json": (
+        0, "ae014bf544121d4d7af46a34061580687515e4b7592502f037b25528f3b34ef0"),
+    "build --group G29 --json": (
+        0, "95260159ae6f7b694516def598c9efc12acb0022b5b6e677398e8e078adb1a98"),
+    "build --group G30 --json": (
+        0, "548af09008dd479efca882ace6e8bac94c3de243f429c274a0d2d18dae0c4c35"),
+    "build --group G31 --json": (
+        0, "3fddbe044de1419ce27441e8a73d7a163bd62f304c5606fae95aadf533c5d573"),
+    "build --group G32 --json": (
+        0, "8655473616c797916c4f0b886be46454534a2b3ce0eb12d4be1a46428eeba2f1"),
+    "build --group G33 --json": (
+        0, "62b396059a94ac48e990abc85a24a1bf4747512a8b27f833fc3b4ac85a18799a"),
+    "build --group G34 --json": (
+        0, "ed9be2d2458aaea006fd662b23d089178c27591366601608d529a47022d0e48c"),
+    "build --group G31 --restrict A1 --json": (
+        0, "50fff7d4472bb2acc610889d35198767ed80bf781ac9cad90f8e0e2ac11fefce"),
+    "build --group G33 --restrict A1 --json": (
+        0, "092063bf7ce7d4a44212648a7f34253f3e7d12bade5991213f15ee2eb9e2fed9"),
+    "build --group G33 --restrict A1^2 --json": (
+        0, "f5822078b75fcc507f10a3e1f1458075cc804fd6c158e057fbce174d19649afb"),
+    "build --group G33 --restrict A2 --json": (
+        0, "3c7c222a57ef810b1c8306d8fdcd4d44f42fe4563b584ef05110c7a5110aaeda"),
+    "build --group G34 --restrict A1 --json": (
+        0, "622bde2b8f4b099f94af210073e53cf463592bf31b5796ba0c6e7fa6f2e47657"),
+    "build --group G34 --restrict A1^2 --json": (
+        0, "aa37abb9bbf81e3d1e015ced94c6c62dd35269a727f9cd9b530293d49b36cf70"),
+    "build --group G34 --restrict A2 --json": (
+        0, "12edcabba1376c1263579e93507856f815d010628327c00b01390c23bbfec270"),
+}
+
+ORBITS_GOLDEN = {
+    "G29 1":
+        "ea411b409ced636eb464878ba266f12287f870a9894bba7298e8e43254b3b253",
+    "G29 2":
+        "d3c60a254ba3659e60ec98a69c6314805399955f45f4150fe61cca0c8826df81",
+    "G29 3":
+        "02062319c92d156dc6f7eb254b26b6b6d8235d41b501dbdba312e699513d381a",
+    "G30 1":
+        "d72a35e04fbe2b5a4e2ec03e7512d95253afbd69e46c3c76c42f5b946f1da819",
+    "G30 2":
+        "6bff7d60b63ff7609e85957d65a16a4c335e7c8de137e97399639ae63214ea68",
+    "G30 3":
+        "b49edbdee38d84472035c069151b486844c07d198d3ee166818febedb04a8a11",
+    "G31 1":
+        "d72a35e04fbe2b5a4e2ec03e7512d95253afbd69e46c3c76c42f5b946f1da819",
+    "G31 2":
+        "db280690bb3e21f32d91f326e4ce3a488e21ac31ec81ec79b8061e18fe19879c",
+    "G31 3":
+        "58c2053e6d09473dada530baf9d8000d90c6d51a693bf32afb4807c7889784d7",
+    "G32 1":
+        "ea411b409ced636eb464878ba266f12287f870a9894bba7298e8e43254b3b253",
+    "G32 2":
+        "31862827804027bdba7ef4a37fa13c2dd6263f7c62d75bb3cfb780ecc9ad6797",
+    "G32 3":
+        "9e1c86e13cee0b672ef2dd2880ed0345d1d0702063b1af2b9b5929bb8bf268ec",
+    "G33 1":
+        "2f182c09230360399e9e0408f0bcd48ece74c8643c1350fce12cad869972495a",
+    "G33 2":
+        "d645cb7c70dafe64f187ff346cb0b7b2756a2638486971ff67d59f231baa7613",
+    "G33 3":
+        "3662d7a4e485a2025fc1bce999561905a5bf1697efe1e7d0e8c47314cdae7e50",
+    "G34 1":
+        "57cedc18ae62288cbb8e84ccd14f77a350a9c6e68361cdbd86d28626a0924655",
+    "G34 2":
+        "68420a0cc9d3024f305021eb29c87f78eafb184a9b7c573a9bfbf2509e92a500",
+    "G34 3":
+        "2954c21c894e13b81e2aec65bb454f18b7d5fe24d4f87bf51f48aba6a17c3785",
+}
+
+
+def catalog_outputs(capsys) -> dict:
+    """{argv: (exit code, sha256 of stdout)} of every pinned build."""
+    runs = [["build", "--group", name, "--json"] for name in group_names()]
+    runs += [["build", "--group", name, "--restrict", tag, "--json"]
+             for name, tag in RESTRICTIONS]
+    got = {}
+    for argv in runs:
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        got[" ".join(argv)] = (code, hashlib.sha256(stdout.encode())
+                               .hexdigest())
+    return got
+
+
+def orbit_digests() -> dict:
+    """{"G codim": sha256} of the flat orbits' tags, codimensions,
+    hyperplane counts, orbit sizes and representative rows."""
+    got = {}
+    for name in ("G29", "G30", "G31", "G32", "G33", "G34"):
+        for codim in (1, 2, 3):
+            text = repr([(lab.tag, lab.codim, lab.count, lab.orbit_size,
+                          [[str(c) for c in row]
+                           for row in lab.representative.rows])
+                         for lab in flat_orbits(group(name), codim)])
+            got[f"{name} {codim}"] = hashlib.sha256(text.encode()).hexdigest()
+    return got
+
+
+def test_catalog_builds_are_pinned(capsys):
+    got = catalog_outputs(capsys)
+    assert len(got) == 19
+    assert got == CATALOG_GOLDEN
+
+
+def test_flat_orbits_are_pinned():
+    assert orbit_digests() == ORBITS_GOLDEN
