@@ -495,16 +495,6 @@ class _Bases:
         return _rref(self.covs[j] for j in _bits(mask))
 
 
-def _above(x: int, by_atom) -> int:
-    """x and every found flat above it; by_atom[a] lists those through a."""
-    skip = x
-    if x:
-        for z in min((by_atom[a] for a in _bits(x)), key=len):
-            if z & x == x:
-                skip |= z
-    return skip
-
-
 def _mod_insert(rows, pivots, vec):
     """Insert vec into an rref basis over F_P; None when vec lies in its
     span mod P."""
@@ -567,20 +557,33 @@ def _mod_keys(rows, pivots, mcovs, rest: int) -> dict:
     basis over F_P: cov_j modulo the rows, read on X's free coordinates,
     scaled so that its first nonzero entry is 1, and encoded as one int
     sum r_t P^t.  Rows in rref vanish on each other's pivots, so the
-    residue at a free coordinate f is cov_j[f] - sum_p cov_j[p] row_p[f]."""
+    residue at a free coordinate f is cov_j[f] - sum_p cov_j[p] row_p[f].
+    The leading entries are inverted together (Montgomery's trick): one
+    inverse of their product, and each one's inverse from it and the
+    products of the leads before and after it."""
     free = [c for c in range(len(mcovs[0])) if c not in pivots]
     cols = [[row[f] for row in rows] for f in free]
-    groups: dict = {}
-    for j in _bits(rest):
-        vec = mcovs[j]
+    residues = []
+    total = 1
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        vec = mcovs[low.bit_length() - 1]
         head = [vec[p] for p in pivots]
         vals = [(vec[f] - sum(map(mul, head, col))) % _P
                 for f, col in zip(free, cols)]
-        inv = pow(next(filter(None, vals)), -1, _P)
+        lead = next(filter(None, vals))
+        residues.append((low, vals, lead, total))
+        total = total * lead % _P
+    inv = pow(total, -1, _P)
+    groups: dict = {}
+    for low, vals, lead, before in reversed(residues):
+        scale = inv * before % _P
+        inv = inv * lead % _P
         key = 0
         for v in vals:
-            key = key * _P + v * inv % _P
-        groups[key] = groups.get(key, 0) | 1 << j
+            key = key * _P + v * scale % _P
+        groups[key] = groups.get(key, 0) | low
     return groups
 
 
@@ -630,30 +633,54 @@ def _grow_levels(vecs, mod: bool, limit: int, levels):
     Each flat is found once.  The rank-(k+1) flats above a rank-k flat X
     are X v H_j for the hyperplanes j outside X, and X v H_i = X v H_j
     exactly when cov_i and cov_j are proportional modulo X's annihilator.
-    So the flats above X found earlier are skipped by their masks
-    (`_above`), every other hyperplane gets one key, its residue modulo
-    X's rref basis scaled to lead with 1, and each class of equal keys is
-    a new flat X v H_j.  The choice of keys is made once per build, by
-    the caller; mod P, X's basis is spanned from its atoms.  Only the
-    levels carry over from one rank to the next, so a resumed build runs
-    as a fresh one."""
+    So the flats above X found earlier are skipped: has[a] is the bitset
+    of the indices of the found flats through atom a, and the AND of
+    has[a] over X's atoms, below the sentinel, marks those above X.
+    Every other hyperplane gets one key, its residue modulo X's rref
+    basis scaled to lead with 1, and each class of equal keys is a new
+    flat X v H_j.  The choice of keys is made once per build, by the
+    caller; mod P, X's basis is spanned from its atoms.  Only the levels
+    carry over from one rank to the next, so a resumed build runs as a
+    fresh one."""
     m = len(vecs)
     levels = list(levels)
     k = len(levels) - 1
     full = (1 << m) - 1
     while k < limit:
         k += 1
-        found = []
-        by_atom: list = [[] for _ in range(m)]
+        found: list = []
+        # a sentinel bit above every index in use keeps has[a] from growing
+        # one bit at a time, through every size class of the allocator
+        cap = 2 * m
+        has = [1 << cap] * m
         for x in levels[k - 1]:
-            rest = full & ~_above(x, by_atom)
+            if len(found) + m > cap:
+                has = [h ^ 1 << cap | 1 << 2 * cap for h in has]
+                cap *= 2
+            above = (1 << len(found)) - 1
+            for a in _bits(x):
+                above &= has[a]
+            # OR in the flats above x, read off the binary digits of above:
+            # str.find is much faster than stripping bits off a long int
+            digits = f"{above:b}"
+            top = len(digits) - 1
+            skip = x
+            i = digits.find("1")
+            while i >= 0:
+                skip |= found[top - i]
+                i = digits.find("1", i + 1)
+            rest = full & ~skip
             if not rest:
                 continue
+            start = len(found)
             for g in _keys_over(vecs, mod, x, k - 1, rest).values():
-                mask = x | g
-                found.append(mask)
-                for a in _bits(mask):
-                    by_atom[a].append(mask)
+                bit = 1 << len(found)
+                found.append(x | g)
+                for a in _bits(g):
+                    has[a] |= bit
+            span = (1 << len(found)) - (1 << start)
+            for a in _bits(x):
+                has[a] |= span
         if not found:
             break
         levels.append(tuple(sorted(found)))
@@ -710,8 +737,9 @@ def _charpoly(levels, dim: int) -> tuple[int, ...]:
     mu(X) is 1, -1 and |X| - 1 at ranks 0, 1 and 2.  At a higher rank k,
     Weisner's theorem with X's lowest atom a gives mu(X) = -sum mu(Y) over
     the rank-(k-1) flats Y inside X that miss a: the flats of level k-1
-    whose lowest atom is another atom of X.  The centre takes the value
-    that makes chi(1) = 0."""
+    whose lowest atom is another atom of X.  At the coatoms only the sum
+    of mu is needed (`_coatom_sum`).  The centre takes the value that
+    makes chi(1) = 0."""
     coeffs = [0] * (dim + 1)
     coeffs[dim] = 1
     top = len(levels) - 1
@@ -720,6 +748,9 @@ def _charpoly(levels, dim: int) -> tuple[int, ...]:
         level = levels[k]
         if k < 3:
             mus = [(x, x.bit_count() - 1 if k == 2 else -1) for x in level]
+        elif k == top - 1:
+            coeffs[dim - k] = _coatom_sum(level, mus)
+            break
         else:
             by_low: dict = {}
             for y, mu in mus:
@@ -739,6 +770,31 @@ def _charpoly(levels, dim: int) -> tuple[int, ...]:
     if top:
         coeffs[dim - top] = -sum(coeffs)
     return tuple(coeffs)
+
+
+def _coatom_sum(coatoms, mus) -> int:
+    """The sum of mu over the coatoms, from mus, the (Y, mu(Y)) one rank
+    below.  Weisner at each coatom X's lowest atom makes it
+    -sum_Y mu(Y) #{X above Y: min X < min Y}.  has[a] is the bitset of
+    the coatoms through atom a, starts[b] that of the coatoms whose
+    lowest atom is below b, so each Y costs one popcount."""
+    n = max(coatoms).bit_length()
+    has = [0] * n
+    starts = [0] * (n + 1)
+    for i, x in enumerate(coatoms):
+        bit = 1 << i
+        starts[(x & -x).bit_length()] |= bit
+        for a in _bits(x):
+            has[a] |= bit
+    for b in range(1, n + 1):
+        starts[b] |= starts[b - 1]
+    total = 0
+    for y, mu in mus:
+        over = starts[(y & -y).bit_length() - 1]
+        for a in _bits(y):
+            over &= has[a]
+        total += mu * over.bit_count()
+    return -total
 
 
 def _sub_levels(levels, mask: int) -> list:

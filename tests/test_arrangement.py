@@ -50,7 +50,10 @@ from arrfree.cyclotomic import (
     cyclotomic_polynomial,
     root_of_unity,
 )
-from arrfree.freeness import InductionTable
+from arrfree.freeness import InductionTable, verify_induction_table
+
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH_INPUTS = _ROOT / "bench" / "inputs"
 
 
 def boolean_arrangement(dim: int) -> Arrangement:
@@ -757,16 +760,10 @@ def test_certificate_failure_takes_the_exact_keys(monkeypatch):
 
 def test_broken_kernels_are_caught(kernel_cases, monkeypatch):
     assert _builds_as_reference(kernel_cases)
-
-    def no_subset_check(x, by_atom):
-        skip = x
-        if x:
-            for z in min((by_atom[a] for a in _bits(x)), key=len):
-                skip |= z
-        return skip
-
+    # a skip mask from every found flat, not only those above x
     with monkeypatch.context() as mp:
-        mp.setattr(arrangement, "_above", no_subset_check)
+        mp.setattr(arrangement, "_grow_levels", _mutant(
+            arrangement._grow_levels, "above &= has[a]", "pass"))
         assert not _builds_as_reference(kernel_cases)
     # a basis over F_P one row short of its flat's rank
     mod_span = arrangement._mod_span
@@ -798,8 +795,7 @@ def test_broken_keys_are_caught(kernel_cases, monkeypatch):
         assert _builds_as_reference(kernel_cases)
     broken = (
         # a key left unscaled
-        ("_mod_keys", "inv = pow(next(filter(None, vals)), -1, _P)",
-         "inv = 1"),
+        ("_mod_keys", "scale = inv * before % _P", "scale = 1"),
         ("_exact_keys", "inv = next(filter(None, vals)).inverse()",
          "inv = 1"),
         # a key that drops its last free coordinate
@@ -992,22 +988,105 @@ def _mutant(fn, old: str, new: str):
     return namespace[fn.__name__]
 
 
-def test_charpoly_matches_moebius_reference(charpoly_cases):
+@pytest.fixture(scope="module")
+def replay_lattices():
+    """(levels, dim) of every distinct restriction lattice that a replay
+    of the two bench chains builds, keyed mod P and exactly (which
+    numbers the atoms in another order)."""
+    seen: list = [{}, {}]
+    charpoly = arrangement._charpoly
+
+    for exact in (False, True):
+        def recording(levels, dim, seen=seen[exact]):
+            seen[tuple(map(tuple, levels)), dim] = None
+            return charpoly(levels, dim)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if exact:
+                _uncertified(mp)
+            mp.setattr(arrangement, "_charpoly", recording)
+            for r in (3, 4):
+                path = _BENCH_INPUTS / f"chain_{r}_6_4.tbl"
+                assert verify_induction_table(path.read_text())
+    assert len(seen[0]) == len(seen[1])
+    return [*seen[0], *seen[1]]
+
+
+def _gapped(levels) -> bool:
+    """True when the atoms of the lattice are not 0 .. m-1."""
+    atoms = max(levels[-1])
+    return atoms & (atoms + 1) != 0
+
+
+def test_charpoly_matches_moebius_reference(charpoly_cases, replay_lattices):
     assert max(len(levels) for levels, _ in charpoly_cases) == 6
-    for levels, dim in charpoly_cases:
+    # rank-4 and rank-5 subarrangements whose atoms have gaps
+    assert {len(levels) for levels, _ in charpoly_cases
+            if _gapped(levels)} >= {5, 6}
+    assert len(replay_lattices) > 28
+    assert max(len(levels) for levels, _ in replay_lattices) == 6
+    for levels, dim in charpoly_cases + replay_lattices:
         assert _charpoly(levels, dim) == _reference_charpoly(levels, dim)
 
 
-def test_broken_charpoly_is_caught(charpoly_cases):
+def test_broken_charpoly_is_caught(charpoly_cases, replay_lattices,
+                                   monkeypatch):
+    cases = charpoly_cases + replay_lattices
+    coatom_sum = arrangement._coatom_sum
     broken = (
         # the Weisner sum over every coatom, those through a included
-        _mutant(_charpoly, "rest = x & (x - 1)", "rest = x"),
+        (_charpoly, "rest = x & (x - 1)", "rest = x"),
         # mu = |X| at rank 2
-        _mutant(_charpoly, "x.bit_count() - 1 if", "x.bit_count() if"),
+        (_charpoly, "x.bit_count() - 1 if", "x.bit_count() if"),
+        # starts[b] holds only the coatoms whose lowest atom is b - 1
+        (coatom_sum, "starts[b] |= starts[b - 1]", "pass"),
+        # every coatom above Y counted, whatever its lowest atom
+        (coatom_sum, "over = starts[(y & -y).bit_length() - 1]",
+         "over = -1"),
     )
-    for charpoly in broken:
-        assert any(charpoly(levels, dim) != _reference_charpoly(levels, dim)
-                   for levels, dim in charpoly_cases)
+    for fn, old, new in broken:
+        with monkeypatch.context() as mp:
+            mp.setattr(arrangement, fn.__name__, _mutant(fn, old, new))
+            assert any(arrangement._charpoly(levels, dim)
+                       != _reference_charpoly(levels, dim)
+                       for levels, dim in cases), new
+
+
+def _reference_mod_keys(rows, pivots, mcovs, rest: int) -> dict:
+    """`_mod_keys` with one inverse mod P for each key."""
+    free = [c for c in range(len(mcovs[0])) if c not in pivots]
+    groups: dict = {}
+    for j in _bits(rest):
+        vec = mcovs[j]
+        vals = [(vec[f] - sum(vec[p] * row[f] for p, row in zip(pivots, rows)))
+                % _P for f in free]
+        inv = pow(next(filter(None, vals)), -1, _P)
+        key = 0
+        for v in vals:
+            key = key * _P + v * inv % _P
+        groups[key] = groups.get(key, 0) | 1 << j
+    return groups
+
+
+def test_mod_keys_match_one_inverse_per_key():
+    rng = random.Random(2324)
+    # over the flat of hyperplane 0, free coordinates 1, 2, 3: residues
+    # leading at 3, 2, 1, and a multiple of the second
+    mcovs = [[1, 0, 0, 0], [5, 0, 0, 3], [2, 0, 7, 1], [0, 4, 1, 1],
+             [9, 0, 14, 2]]
+    mcovs += [[rng.randrange(_P) for _ in range(4)] for _ in range(8)]
+    full = (1 << len(mcovs)) - 1
+    basis = arrangement._mod_span(mcovs, 1, 1)
+    assert basis == (([1, 0, 0, 0],), (0,))
+    keys = arrangement._mod_keys(*basis, mcovs, 0b11110)
+    assert keys == _reference_mod_keys(*basis, mcovs, 0b11110)
+    assert sorted(keys.values()) == [0b10, 0b1000, 0b10100]
+    for x, k in ((1, 1), (0b110, 2), (0b1000000001, 2), (0b1011, 3)):
+        basis = arrangement._mod_span(mcovs, x, k)
+        for rest in (0, 1 << 11, full & ~x):
+            assert arrangement._mod_keys(*basis, mcovs, rest) == \
+                _reference_mod_keys(*basis, mcovs, rest), (x, rest)
+    assert arrangement._mod_keys(*basis, mcovs, 0) == {}
 
 
 # -- text form ----------------------------------------------------------------
@@ -1249,7 +1328,7 @@ def _check_isomorphism(pairs):
     return answers
 
 
-_TABLES = Path(__file__).resolve().parent.parent / "fixtures" / "tables"
+_TABLES = _ROOT / "fixtures" / "tables"
 _TABLE_SOURCES = (("g29_a1", "G29", "A1"), ("g31_a1", "G31", "A1"),
                   ("g33_a1sq", "G33", "A1^2"), ("g33_a2", "G33", "A2"),
                   ("g34_a1cube", "G34", "A1^3"), ("g34_a1a2", "G34", "A1A2"),
