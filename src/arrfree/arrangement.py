@@ -687,15 +687,18 @@ def _grow_levels(vecs, mod: bool, limit: int, levels):
     return tuple(levels)
 
 
-def _restriction_exponents(keys, mod: bool, dim: int, order: int):
-    """Exponents, or None, of the restriction to a rank-1 flat given by
-    the keys of `_keys_over` in dim coordinates: mod P a key's digits
-    base P, else its (num, den) pairs.  In key order, leading zeros
+def _keys_charpoly(keys, mod: bool, dim: int, order: int, over=None):
+    """The characteristic polynomial of the hyperplanes with the given
+    keys of `_keys_over` in dim coordinates (mod P a key's digits base P,
+    else its (num, den) pairs), or, when over is one of the keys, of
+    their restriction to it, whose hyperplanes are the keys of the
+    others over it in dim - 1 coordinates.  In key order, leading zeros
     first as in `Arrangement`, the builder keys far fewer flats than in
     hash order.  The levels end at the centre, as in
     `Arrangement.intersection_lattice`."""
+    keys = sorted(keys)
     vecs = []
-    for key in sorted(keys):
+    for key in keys:
         if mod:
             vec = [0] * dim
             for t in range(dim - 1, -1, -1):
@@ -703,11 +706,15 @@ def _restriction_exponents(keys, mod: bool, dim: int, order: int):
         else:
             vec = [Cyc._make(order, num, den) for num, den in key]
         vecs.append(vec)
-    levels = _grow_levels(vecs, mod, dim - 1, ((0,),))
     full = (1 << len(vecs)) - 1
+    if over is not None:
+        x = 1 << keys.index(over)
+        return _keys_charpoly(_keys_over(vecs, mod, x, 1, full ^ x), mod,
+                              dim - 1, order)
+    levels = _grow_levels(vecs, mod, dim - 1, ((0,),))
     if levels[-1] != (full,):
         levels += ((full,),)
-    return _integer_roots(_charpoly(levels, dim), len(vecs))
+    return _charpoly(levels, dim)
 
 
 class Lattice:

@@ -263,40 +263,50 @@ def _mutant(module, fn, *edits, **names):
 
 
 def _check_replay_memo(monkeypatch, tables):
-    """A replay builds the lattice of each distinct restriction of its
-    chain once, and carries nothing over to the next replay."""
-    calls = []
+    """A replay keeps the previous row's restriction, and only within one
+    call.  It starts from the first row's, which has no hyperplanes.  Of
+    the 13 other distinct restrictions of a canonical
+    intermediate(r, 6, 4) table, in dimension 5, four get their lattice
+    built in dimension 5, and nine are derived from the row before by
+    deletion-restriction, which builds 13 lattices in dimension 4."""
+    builds = Counter()
     real = arrangement._grow_levels
 
-    def counting(vecs, *args):
-        # the first row's restriction, with no hyperplanes, is not counted
-        if vecs:
-            calls.append(vecs)
-            assert len(calls) <= 13, "a restriction's lattice was rebuilt"
-        return real(vecs, *args)
+    def counting(vecs, mod, limit, levels):
+        # a build up to rank limit is of an arrangement in limit + 1
+        # coordinates
+        builds[limit + 1] += 1
+        return real(vecs, mod, limit, levels)
 
     with monkeypatch.context() as m:
         m.setattr(arrangement, "_grow_levels", counting)
-        # intermediate(r, 6, 4): 4 + 15 r rows, all but the first restricted
+        # intermediate(r, 6, 4): 4 + 15 r rows
         for r in (3, 3, 4):
-            calls.clear()
+            builds.clear()
             assert verify_induction_table(tables[r])
-            assert len(calls) == 13, (r, len(calls))
+            assert builds == {5: 4, 4: 13}, (r, builds)
 
 
 def test_replay_memo_lives_in_one_call(monkeypatch):
     tables = {r: _canonical_table(r) for r in (3, 4)}
     _check_replay_memo(monkeypatch, tables)
 
-    # broken memos: none, one for each row, one shared between calls
+    # the previous row never reused, not updated after a direct build,
+    # and shared between calls
     broken = (
-        ("rexp = memo.get(keys, _MISSING)", "rexp = _MISSING"),
-        ("        keys = frozenset(",
-         "        memo = {}\n        keys = frozenset("),
-        ("memo = {}", "memo = _SHARED"),
+        (("if keys != last:", "if True:"),
+         ("if dim > 3 and len(keys ^ last) <= _NEAR:", "if False:")),
+        (("chi = _keys_charpoly(keys, mod, dim - 1, order)",
+          "yield _integer_roots(_keys_charpoly(keys, mod, dim - 1, order),"
+          " len(keys))\n                continue"),),
+        (("last, chi, exps = set(), (0,) * (dim - 1) + (1,), (0,) * (dim - 1)",
+          "last, chi, exps = _SHARED.get(dim, (set(), (0,) * (dim - 1) + (1,),"
+          " (0,) * (dim - 1)))"),
+         ("last = keys", "_SHARED[dim] = keys, chi, exps\n"
+          "        last = keys")),
     )
-    for edit in broken:
-        chain = _mutant(freeness, freeness._chain_restrictions, edit,
+    for edits in broken:
+        chain = _mutant(freeness, freeness._chain_restrictions, *edits,
                         _SHARED={})
         with monkeypatch.context() as m:
             m.setattr(freeness, "_chain_restrictions", chain)
@@ -330,14 +340,17 @@ def chain_cases():
     covs += [[1, -z ** j, 0] for j in range(4)]
     covs += [[0, 1, -z ** j] for j in range(3)]
     chains.append((3, 41, [Hyperplane(v, 41) for v in covs]))
-    cases = []
-    for dim, order, hs in chains:
-        expected = []
-        for n in range(1, len(hs) + 1):
-            larger = Arrangement(dim, hs[:n], order)
-            expected.append(larger.restricted(hs[n - 1]).candidate_exponents())
-        cases.append((dim, order, hs, expected))
-    return cases
+    return [_with_restrictions(*chain) for chain in chains]
+
+
+def _with_restrictions(dim, order, hs):
+    """The chain with every row's restriction exponents, computed from
+    the exact restriction."""
+    expected = []
+    for n in range(1, len(hs) + 1):
+        larger = Arrangement(dim, hs[:n], order)
+        expected.append(larger.restricted(hs[n - 1]).candidate_exponents())
+    return dim, order, hs, expected
 
 
 def _rows_match_restrictions(cases) -> bool:
@@ -377,36 +390,70 @@ def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
         rows, _ = basis
         return rows, tuple(max(c for c, v in enumerate(r) if v) for r in rows)
 
+    def chain(*edits):
+        return _mutant(freeness, freeness._chain_restrictions, *edits)
+
+    def near(*edits):
+        return _mutant(freeness, freeness._deletion_restriction, *edits)
+
+    # (module, name, broken function, the keys it runs on: True mod P,
+    # False exact)
     broken = (
         # a residue left unscaled, mod P and exactly
         (arrangement, "_mod_keys", _mutant(
             arrangement, arrangement._mod_keys,
-            ("scale = inv * before % _P", "scale = 1"))),
+            ("scale = inv * before % _P", "scale = 1")), (True,)),
         (arrangement, "_exact_keys", _mutant(
             arrangement, arrangement._exact_keys,
-            ("inv = next(filter(None, vals)).inverse()", "inv = 1"))),
-        # a memo key too coarse: the restriction's size
-        (freeness, "_chain_restrictions", _mutant(
-            freeness, freeness._chain_restrictions,
-            ("memo.get(keys, _MISSING)", "memo.get(len(keys), _MISSING)"),
-            ("memo[keys] =", "memo[len(keys)] ="))),
+            ("inv = next(filter(None, vals)).inverse()", "inv = 1")),
+         (False,)),
+        # the previous row matched by its size
+        (freeness, "_chain_restrictions", chain(
+            ("if keys != last:", "if len(keys) != len(last):")),
+         (True, False)),
+        # an added key's chi added, a removed key's chi subtracted
+        (freeness, "_deletion_restriction", near(
+            ("chi = [a - b for", "chi = [a + b for")), (True, False)),
+        (freeness, "_deletion_restriction", near(
+            ("chi = [a + b for", "chi = [a - b for")), (True, False)),
+        # an added key restricted against S' rather than S' less the
+        # removed keys
+        (freeness, "_deletion_restriction", near(
+            ("    for h in", "    t = set(last)\n    for h in")),
+         (True, False)),
         # a pivot read from the last nonzero coordinate, not the first
         (arrangement, "_mod_span",
-         lambda mcovs, x, k: last_pivots(mod_span(mcovs, x, k))),
+         lambda mcovs, x, k: last_pivots(mod_span(mcovs, x, k)), (True,)),
         (arrangement, "_rref", lambda vecs, rank=None: last_pivots(
-            rref(vecs, rank))),
+            rref(vecs, rank)), (False,)),
     )
-    for module, name, fn in broken:
+    # rows 5, 6 and 7 restrict to four planes each, with exponents
+    # (1, 1, 2), None and (1, 1, 2), and each of rows 6 and 7 swaps one key
+    # of the row before for another.  In chain_cases, consecutive rows of
+    # one size have the same exponents, and a key swapped out meets
+    # another key over the key swapped in, so neither the size match nor
+    # the restriction against S' shows there
+    cases = chain_cases + [_with_restrictions(4, 1, [
+        Hyperplane.parse(form, 1, 4)
+        for form in ("a", "b", "c", "d", "a + b + c", "c + d", "a + b")])]
+    assert cases[-1][3][4:] == [(1, 1, 2), None, (1, 1, 2)]
+    for mod in (True, False):
         with monkeypatch.context() as m:
-            if name in ("_exact_keys", "_rref"):
+            if not mod:
                 m.setattr(arrangement, "_certified", lambda covs, s: False)
-            m.setattr(module, name, fn)
-            try:
-                caught = not _rows_match_restrictions(chain_cases)
-            except RuntimeError:
-                # the generator met a residue of zero, read as no key
-                caught = True
-            assert caught, name
+            assert _rows_match_restrictions(cases[-1:])
+    for module, name, fn, modes in broken:
+        for mod in modes:
+            with monkeypatch.context() as m:
+                if not mod:
+                    m.setattr(arrangement, "_certified", lambda covs, s: False)
+                m.setattr(module, name, fn)
+                try:
+                    caught = not _rows_match_restrictions(cases)
+                except RuntimeError:
+                    # the generator met a residue of zero, read as no key
+                    caught = True
+                assert caught, (name, mod)
 
 
 def test_certified_replay_does_no_exact_restriction(chain_cases,

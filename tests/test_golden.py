@@ -17,8 +17,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from arrfree.catalog import flat_orbits, group, group_names, intermediate
+from arrfree.catalog import (canonical_induction_order, flat_orbits, group,
+                             group_names, intermediate)
 from arrfree.cli import main
+from arrfree.freeness import certify_chain, emit_induction_table
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = {path.stem: path for path in sorted(
@@ -114,6 +116,16 @@ GOLDEN = {
         1, "ce36853525497907b1d45151c296c7f914cc6c1d1dd38949487ef562fc3f9733"),
     "int_3_4_2.arr --order canonical --json": (
         0, "bc7e010406c6573db0a53d4e69eb3cc78cadf7b1fd333e5b1d319a0f7584423c"),
+    "int_2_5_3.arr --order canonical --json": (
+        0, "578576d6c4f04ab531b3abd6c753389baca6441a57dfe08323464de7cf4f1ac8"),
+    "int_3_5_3.arr --order canonical --json": (
+        0, "189391362165e6b4a0d94209bf03ab30d019f3a20df897e6e5b361678c474156"),
+    "int_4_5_3.arr --order canonical --json": (
+        0, "a9513581e9dce806e150eafb93bb84932fd8bdafbcb0681cd1be02a9320d4e72"),
+    "int_2_6_4.arr --order canonical --json": (
+        0, "4b14f159b7692b30e3a5833fd2505a4df4e93b358d7b4eac5a8cb3adb5cea143"),
+    "canonical_3_5_bad.tbl --json": (
+        1, "476fb1b5449b11cd2e83761c85d2025af7204e7d5f595de5945f522bbeef7dfa"),
 }
 
 
@@ -139,10 +151,17 @@ def _runs():
             out.append((name, name, body, ["verify-table", name]))
             out.append((f"{name} --json", name, body,
                         ["verify-table", name, "--json"]))
-    out.append(("int_3_4_2.arr --order canonical --json", "int_3_4_2.arr",
-                intermediate(3, 4, 2).to_text(),
-                ["induce", "int_3_4_2.arr", "--order", "canonical",
-                 "--json"]))
+    for r, ell in ((3, 4), (2, 5), (3, 5), (4, 5), (2, 6)):
+        name = f"int_{r}_{ell}_{ell - 2}.arr"
+        out.append((f"{name} --order canonical --json", name,
+                    intermediate(r, ell, ell - 2).to_text(),
+                    ["induce", name, "--order", "canonical", "--json"]))
+    # row 32, the last, restricts to the keys of row 31 and one more
+    chain = certify_chain(5, 3, canonical_induction_order(3, 5))
+    text = emit_induction_table(intermediate(3, 5, 3), chain.certificate)
+    out.append(("canonical_3_5_bad.tbl --json", "canonical_3_5_bad.tbl",
+                _corrupt(text, 32, 1),
+                ["verify-table", "canonical_3_5_bad.tbl", "--json"]))
     return out
 
 
@@ -167,7 +186,7 @@ def test_corrupted_rows_exist():
 def test_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = outputs(tmp_path, capsys)
-    assert len(got) == 37
+    assert len(got) == 42
     assert got == GOLDEN
 
 
