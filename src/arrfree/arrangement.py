@@ -885,8 +885,10 @@ def _bits(mask: int):
 def _permute_mask(mask: int, perm) -> int:
     """The image of a set of hyperplanes under an index permutation."""
     out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

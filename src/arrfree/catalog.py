@@ -14,6 +14,13 @@ covector is computed once.  The keys stand when a norm bound over the
 mirrors and their images shows that covectors differing exactly differ
 mod P; otherwise the closure runs again on exact keys.
 
+A group's flats are built one orbit at a time (`_orbit_levels`): only
+the least flat of each orbit of rank k - 1 is keyed, and rank k is the
+closure of its covers under the generators' permutations of the
+mirrors, which also sorts it into orbits.  Wrong permutations are
+refused by two checks: an orbit's least mask must be a flat, and a rank
+may not outgrow the bound that its cover pairs give.
+
 Restrictions of a reflection arrangement are addressed by a type tag
 naming the localization at a flat by the nonzero roots of its
 characteristic polynomial, which also fix its rank and its size.
@@ -32,6 +39,9 @@ from arrfree.arrangement import (
     Flat,
     Hyperplane,
     RankLimit,
+    _Bases,
+    _key_vectors,
+    _keys_over,
     _l1,
     _mod_root,
     _mod_span,
@@ -40,6 +50,7 @@ from arrfree.arrangement import (
     _permute_mask,
     _rref,
     _sub_exponents,
+    lattice_isomorphic,
 )
 from arrfree.cyclotomic import (
     ArrfreeError,
@@ -65,7 +76,7 @@ class NoSuchType(ArrfreeError, LookupError):
 
 
 class AmbiguousType(ArrfreeError, LookupError):
-    """Raised when a type tag cannot be told apart from another tag."""
+    """Raised when flats of one type tag have restrictions that differ."""
 
 
 # -- intermediate arrangements -------------------------------------------------
@@ -116,7 +127,7 @@ class GroupPresentation:
     """Named generator matrices for a finite reflection group."""
 
     __slots__ = ("name", "dim", "order", "expected", "generators",
-                 "_arrangement", "_permutations")
+                 "_arrangement", "_permutations", "_orbits")
 
     def __init__(self, name: str, dim: int, order: int, expected: int,
                  generators):
@@ -143,6 +154,7 @@ class GroupPresentation:
         self.generators = tuple(gens)
         self._arrangement = None
         self._permutations = None
+        self._orbits = None
 
     def __repr__(self):
         return (f"GroupPresentation({self.name}, dim={self.dim}, "
@@ -384,6 +396,75 @@ def reflection_arrangement(g) -> Arrangement:
     return arr
 
 
+# -- flats one orbit at a time --------------------------------------------------
+
+def _orbit_levels(g, codim: int):
+    """g's flat masks by rank up to codim, and each rank's orbits under
+    the group as sorted (least mask, size) pairs; kept in g._orbits, from
+    which a deeper request resumes.
+
+    Only each orbit's least flat X of rank k - 1 is keyed: its covers are
+    X | c for the classes c of `_keys_over`, the keys chosen once per
+    call as in `_build_levels`, and rank k is their closure under
+    g._permutations, found breadth first with its orbits.  This is sound:
+    the permutations are read off the mirror closure's exact key lookups,
+    so each is a generator's action on the mirrors, a linear automorphism
+    that maps flats to flats; a rank-k flat Y covers some w X, so w^-1 Y
+    is a cover of X and Y lies in the orbit of a cover found.
+
+    Two checks refuse wrong permutations, in time bounded by the true
+    levels: (a) a hyperplane outside X whose residue over X is zero lies
+    in X's span, so X is no flat; (b) every rank-k flat covers at least k
+    flats, so rank k holds at most sum_O |O| c(O) / k flats, c(O) the
+    number of covers of orbit O's least flat."""
+    arr = reflection_arrangement(g)
+    levels, orbits = g._orbits or (((0,),), (((0, 1),),))
+    full = (1 << len(arr)) - 1
+    if len(levels) > codim or levels[-1] == (full,):
+        return levels[:codim + 1], orbits[:codim + 1]
+    vecs, mod = _key_vectors([h.coeffs for h in arr.hyperplanes], arr.order,
+                             min(codim + 1, arr.dim))
+    perms = g._permutations
+    levels, orbits = list(levels), list(orbits)
+    while len(levels) <= codim and levels[-1] != (full,):
+        k = len(levels)
+        covers, pairs = [], 0
+        for rep, size in orbits[-1]:
+            try:
+                classes = _keys_over(vecs, mod, rep, k - 1, full & ~rep)
+            except StopIteration:
+                raise CatalogDataError(
+                    f"{g.name}: an orbit of rank {k - 1} holds a set of"
+                    f" mirrors that is not a flat; generator data is"
+                    f" inconsistent") from None
+            pairs += size * len(classes)
+            covers += [rep | c for c in classes.values()]
+        bound = pairs // k
+        seen: set = set()
+        reps = []
+        for start in covers:
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for mask in orbit:
+                for perm in perms:
+                    img = _permute_mask(mask, perm)
+                    if img not in seen:
+                        seen.add(img)
+                        orbit.append(img)
+                if len(seen) > bound:
+                    raise CatalogDataError(
+                        f"{g.name}: the orbits of rank {k} exceed the"
+                        f" {bound} flats their covers allow; generator data"
+                        f" is inconsistent")
+            reps.append((min(orbit), len(orbit)))
+        levels.append(tuple(sorted(seen)))
+        orbits.append(tuple(sorted(reps)))
+    g._orbits = tuple(levels), tuple(orbits)
+    return g._orbits[0][:codim + 1], g._orbits[1][:codim + 1]
+
+
 # -- restrictions addressed by localization type ---------------------------------
 
 # tag -> nonzero roots of the localization's characteristic polynomial;
@@ -424,22 +505,31 @@ def _localization_roots(levels, mask: int, dim: int):
 
 def restriction_by_type(g, tag: str) -> Arrangement:
     """Restrict the reflection arrangement at the canonically smallest flat
-    whose localization matches the tag."""
+    whose localization matches the tag: the least representative among
+    the matching orbits, as the type is constant on an orbit.  Raises
+    `AmbiguousType` when orbits of that type have restrictions whose
+    lattices differ, so the tag names no one restriction."""
+    if isinstance(g, str):
+        g = group(g)
     t = normalize_type(tag)
     roots = _TYPE_TABLE[t]
     codim, count = len(roots), sum(roots)
     arr = reflection_arrangement(g)
-    levels, bases = arr.partial_levels(codim)
-    masks = levels[codim] if len(levels) > codim else ()
-    best = next((mask for mask in masks if mask.bit_count() == count
-                 and _localization_roots(levels, mask, arr.dim) == roots),
-                None)
-    if best is None:
-        name = g if isinstance(g, str) else g.name
-        raise NoSuchType(f"{name} has no flat of type {t}")
-    rows, pivots = bases[best]
-    flat = Flat(rows, pivots, arr.dim, arr.order)
-    return arr.restricted(flat)
+    levels, orbits = _orbit_levels(g, codim)
+    reps = [rep for rep, _ in (orbits[codim] if len(orbits) > codim else ())
+            if rep.bit_count() == count
+            and _localization_roots(levels, rep, arr.dim) == roots]
+    if not reps:
+        raise NoSuchType(f"{g.name} has no flat of type {t}")
+    bases = _Bases(arr)
+    first, *others = (arr.restricted(Flat(*bases[rep], arr.dim, arr.order))
+                      for rep in reps)
+    for other in others:
+        if not lattice_isomorphic(first, other):
+            raise AmbiguousType(
+                f"{g.name} has {len(reps)} orbits of flats of type {t}"
+                f" whose restrictions differ")
+    return first
 
 
 class FlatOrbitLabel:
@@ -461,7 +551,8 @@ class FlatOrbitLabel:
 
 
 def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
-    """Orbits of the codim-flats under the group, one label per orbit."""
+    """Orbits of the codim-flats under the group, one label per orbit,
+    in the order of their representatives (`_orbit_levels`)."""
     if codim < 0:
         raise InvalidParameter(f"codim must be nonnegative, got {codim}")
     if isinstance(g, str):
@@ -473,36 +564,16 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     if codim > 3:
         raise RankLimit(f"flat orbits are computed up to codimension 3, "
                         f"got {codim}")
-    levels, bases = arr.partial_levels(codim)
-    perms = g._permutations
-    unseen = set(levels[codim] if len(levels) > codim else ())
+    levels, orbits = _orbit_levels(g, codim)
+    bases = _Bases(arr)
     labels = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for mask in frontier:
-                for perm in perms:
-                    img = _permute_mask(mask, perm)
-                    if img not in orbit:
-                        if img not in unseen:
-                            raise CatalogDataError(
-                                f"{g.name}: orbit left the flat level; "
-                                f"generator data is inconsistent")
-                        orbit.add(img)
-                        fresh.append(img)
-            frontier = fresh
-        unseen -= orbit
-        rep = min(orbit)
+    for rep, size in orbits[codim] if len(orbits) > codim else ():
         count = rep.bit_count()
         roots = _localization_roots(levels, rep, arr.dim)
         tag = next((t for t, r in _TYPE_TABLE.items() if r == roots),
                    f"unclassified(codim={codim},count={count})")
-        rows, pivots = bases[rep]
-        flat = Flat(rows, pivots, arr.dim, arr.order)
-        labels.append(FlatOrbitLabel(tag, flat, codim, count, len(orbit)))
+        flat = Flat(*bases[rep], arr.dim, arr.order)
+        labels.append(FlatOrbitLabel(tag, flat, codim, count, size))
     return labels
 
 

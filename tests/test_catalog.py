@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import random
+import time
 from importlib import resources
 
 import pytest
 
-from arrfree import catalog
+from arrfree import arrangement, catalog
 from arrfree.arrangement import (Arrangement, Hyperplane, RankLimit,
-                                 ZeroDimensional, lattice_isomorphic)
+                                 ZeroDimensional, _build_levels,
+                                 _permute_mask, lattice_isomorphic)
 from arrfree.catalog import (
     AmbiguousType,
     CatalogDataError,
     GroupPresentation,
     InvalidParameter,
     NoSuchType,
+    _TYPE_TABLE,
     _closure_certified,
+    _localization_roots,
     _mirror_covector,
+    _orbit_levels,
     _residues,
     _transform,
     canonical_induction_order,
@@ -485,3 +491,162 @@ def test_uncertified_closure_takes_exact_keys(monkeypatch):
             assert len(calls) == new * on_seeds + \
                 g.expected * len(g.generators)
             assert (text, perms) == _reference_closure(g)
+
+
+# ---- orbit-built levels against the plain lattice builder ----
+
+def _reference_orbits(level, perms) -> tuple:
+    """(least mask, size) of each orbit of the level under the
+    permutations, by breadth-first search over the level alone, which
+    must hold every image."""
+    unseen = set(level)
+    out = []
+    while unseen:
+        start = min(unseen)
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for mask in frontier:
+                for perm in perms:
+                    img = _permute_mask(mask, perm)
+                    if img not in orbit:
+                        assert img in unseen
+                        orbit.add(img)
+                        fresh.append(img)
+            frontier = fresh
+        unseen -= orbit
+        out.append((start, len(orbit)))
+    return tuple(out)
+
+
+def _check_orbit_levels(groups):
+    for name, g in groups.items():
+        arr = reflection_arrangement(g)
+        ref = _build_levels(arr, 3)
+        for codim in (1, 2, 3):
+            g._orbits = None
+            levels, orbits = _orbit_levels(g, codim)
+            assert levels == ref[:codim + 1], (name, codim)
+            assert orbits == tuple(_reference_orbits(lv, g._permutations)
+                                   for lv in levels), (name, codim)
+        # a deeper request resumes from the slot
+        fresh = g._orbits
+        g._orbits = None
+        _orbit_levels(g, 2)
+        assert _orbit_levels(g, 3) == (fresh[0][:4], fresh[1][:4]), name
+        assert g._orbits == fresh, name
+
+
+def test_orbit_levels_match_the_plain_builder():
+    _check_orbit_levels(_fresh_groups())
+
+
+def test_orbit_levels_match_the_plain_builder_on_exact_keys(monkeypatch):
+    monkeypatch.setattr(arrangement, "_certified", lambda covs, s: False)
+    groups = _fresh_groups()
+    groups = {name: groups[name]
+              for name in ("G24", "G25", "G26", "G28", "G29", "G32")}
+    groups["G(3,3,3)"] = g333()
+    _check_orbit_levels(groups)
+
+
+def _swap(g, rng):
+    """Swap two entries of one generator's permutation of the mirrors."""
+    perms = [list(p) for p in g._permutations]
+    perm = rng.choice(perms)
+    i, j = rng.sample(range(len(perm)), 2)
+    perm[i], perm[j] = perm[j], perm[i]
+    g._permutations = tuple(map(tuple, perms))
+
+
+def _refused(g, match):
+    for call in (lambda: flat_orbits(g, 3),
+                 lambda: restriction_by_type(g, "A1^3")):
+        start = time.perf_counter()
+        with pytest.raises(CatalogDataError, match=match):
+            call()
+        # the cover-pair bound stops the closure near the true level size
+        assert time.perf_counter() - start < 1.0
+        assert g._orbits is None
+
+
+def test_orbit_build_refuses_a_swapped_permutation():
+    # a single transposition already outgrows the cover-pair bound at
+    # rank 2, so a closure under wrong data never runs away
+    groups = _fresh_groups()
+    for seed, name in enumerate(("G25", "G26", "G27", "G28", "G29", "G30",
+                                 "G31", "G32", "G33", "G34")):
+        g = groups[name]
+        reflection_arrangement(g)
+        _swap(g, random.Random(seed))
+        _refused(g, "orbits of rank 2 exceed")
+
+
+def test_orbit_build_refuses_a_representative_that_is_no_flat():
+    # in B3, a swap of two mirrors in the last generator keeps the
+    # closure within the bound, but the least mask of one rank-2 orbit is
+    # no line: a third mirror lies in its span; under residue keys (zeta=1)
+    # and exact ones (zeta=41, no root mod P)
+    for order in (1, 41):
+        g = load_groups(B3_ZETA41_TEXT.replace("zeta=41", f"zeta={order}"))["B3"]
+        reflection_arrangement(g)
+        perms = [list(p) for p in g._permutations]
+        perms[2][1], perms[2][3] = perms[2][3], perms[2][1]
+        g._permutations = tuple(map(tuple, perms))
+        _refused(g, "rank 2 holds a set of mirrors that is not a flat")
+
+
+A1_B2_TEXT = """
+group A1xB2 dim=3 zeta=1 hyperplanes=5
+-1, 0, 0
+0, 1, 0
+0, 0, 1
+
+1, 0, 0
+0, -1, 0
+0, 0, 1
+
+1, 0, 0
+0, 0, 1
+0, 1, 0
+"""
+
+
+def _matching_orbits(g, tag) -> list:
+    """Sizes of the orbits of flats whose localization has the tag's type."""
+    roots = _TYPE_TABLE[tag]
+    codim = len(roots)
+    levels, orbits = _orbit_levels(g, codim)
+    return [size for rep, size in orbits[codim]
+            if _localization_roots(levels, rep, g.dim) == roots]
+
+
+def test_restriction_by_type_across_orbits():
+    # types that match two orbits whose restrictions are lattice
+    # isomorphic name one restriction: -> (orbit sizes, its hyperplanes)
+    shared = {
+        ("G26", "A1"): ([12, 9], 8),
+        ("G27", "A2"): ([60, 60], 1),
+        ("G28", "A1"): ([12, 12], 13),
+        ("G28", "A2"): ([16, 16], 6),
+        ("G28", "A1A2"): ([48, 48], 1),
+        ("G28", "B3"): ([12, 12], 1),
+        ("G29", "A3"): ([80, 80], 1),
+    }
+    for (name, tag), (sizes, count) in shared.items():
+        g = group(name)
+        assert _matching_orbits(g, tag) == sizes, (name, tag)
+        assert len(restriction_by_type(g, tag)) == count, (name, tag)
+    # the benchmark's restrictions match one orbit each
+    for name, tag in (("G31", "A1"), ("G33", "A1"), ("G33", "A1^2"),
+                      ("G33", "A2"), ("G34", "A1"), ("G34", "A1^2"),
+                      ("G34", "A2")):
+        assert len(_matching_orbits(group(name), tag)) == 1, (name, tag)
+    # A1 x B2: the mirror x1 restricts to the four lines of B2, a mirror
+    # of B2 to two lines
+    g = load_groups(A1_B2_TEXT)["A1xB2"]
+    assert sorted(_matching_orbits(g, "A1")) == [1, 2, 2]
+    with pytest.raises(AmbiguousType, match="A1xB2 has 3 orbits"):
+        restriction_by_type(g, "A1")
+    assert len(restriction_by_type(g, "A1^2")) == 1

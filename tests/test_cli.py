@@ -77,6 +77,20 @@ def test_build_rejects_bad_parameters(capsys, tmp_path):
                "--out", out)[0] == 2
 
 
+def test_build_refuses_an_ambiguous_type(capsys, monkeypatch):
+    # in A1 x B2 the type A1 matches three orbits of mirrors, whose
+    # restrictions have four lines or two
+    from test_catalog import A1_B2_TEXT
+    monkeypatch.setattr(catalog, "_shipped_catalog",
+                        lambda: catalog.load_groups(A1_B2_TEXT))
+    code, out, err = run(capsys, "build", "--group", "A1xB2", "--restrict",
+                         "A1", "--json")
+    assert code == 2 and out == ""
+    assert "error: A1xB2 has 3 orbits of flats of type A1" in err
+    assert run(capsys, "build", "--group", "A1xB2", "--restrict",
+               "A1^2")[0] == 0
+
+
 INTERMEDIATE = ("--family", "intermediate", "--r", "3", "--ell", "3",
                 "--k", "1")
 
