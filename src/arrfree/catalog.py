@@ -17,9 +17,10 @@ mod P; otherwise the closure runs again on exact keys.
 A group's flats are built one orbit at a time (`_orbit_levels`): only
 the least flat of each orbit of rank k - 1 is keyed, and rank k is the
 closure of its covers under the generators' permutations of the
-mirrors, which also sorts it into orbits.  Wrong permutations are
-refused by two checks: an orbit's least mask must be a flat, and a rank
-may not outgrow the bound that its cover pairs give.
+mirrors, read as tables of bits, which also sorts it into orbits.
+Wrong permutations are refused by two checks: an orbit's least mask
+must be a flat, and a rank may not outgrow the bound that its cover
+pairs give.
 
 Restrictions of a reflection arrangement are addressed by a type tag
 naming the localization at a flat by the nonzero roots of its
@@ -47,7 +48,6 @@ from arrfree.arrangement import (
     _mod_span,
     _mod_vector,
     _norm_bound,
-    _permute_mask,
     _rref,
     _sub_exponents,
     lattice_isomorphic,
@@ -60,6 +60,7 @@ from arrfree.cyclotomic import (
     FormatError,
     InvalidParameter,
     _coerce,
+    _dot,
     _read_int,
     check_header,
     parse_scalar,
@@ -263,18 +264,11 @@ def _mirror_covector(mat, dim: int):
 
 
 def _transform(h: Hyperplane, mat, order: int) -> Hyperplane:
-    """Image hyperplane under the generator: covector times matrix."""
-    dim = h.dim
-    out = []
-    for j in range(dim):
-        acc = None
-        for i in range(dim):
-            c = h.coeffs[i]
-            if c:
-                term = c * mat[i][j]
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0)
-    return Hyperplane(out, order)
+    """Image hyperplane under the generator: covector times matrix, each
+    entry one exact dot product with a column; h and the matrix are over
+    Q(zeta_order), as a presentation's mirrors and generators are."""
+    return Hyperplane([_dot(order, h.coeffs, col) for col in zip(*mat)],
+                      order)
 
 
 def _residues(g, seeds):
@@ -406,11 +400,16 @@ def _orbit_levels(g, codim: int):
     Only each orbit's least flat X of rank k - 1 is keyed: its covers are
     X | c for the classes c of `_keys_over`, the keys chosen once per
     call as in `_build_levels`, and rank k is their closure under
-    g._permutations, found breadth first with its orbits.  This is sound:
-    the permutations are read off the mirror closure's exact key lookups,
-    so each is a generator's action on the mirrors, a linear automorphism
-    that maps flats to flats; a rank-k flat Y covers some w X, so w^-1 Y
-    is a cover of X and Y lies in the orbit of a cover found.
+    g._permutations, found breadth first with its orbits.  A generator's
+    table holds bit[a] = 1 << perm[a], so an image is the sum of the table
+    over the flat's atoms, read once per flat; an image found by an
+    involutive generator skips it, as its image there is the parent.
+
+    This is sound: the permutations are read off the mirror closure's
+    exact key lookups, so each is a generator's action on the mirrors, a
+    linear automorphism that maps flats to flats; a rank-k flat Y covers
+    some w X, so w^-1 Y is a cover of X and Y lies in the orbit of a
+    cover found.
 
     Two checks refuse wrong permutations, in time bounded by the true
     levels: (a) a hyperplane outside X whose residue over X is zero lies
@@ -424,7 +423,9 @@ def _orbit_levels(g, codim: int):
         return levels[:codim + 1], orbits[:codim + 1]
     vecs, mod = _key_vectors([h.coeffs for h in arr.hyperplanes], arr.order,
                              min(codim + 1, arr.dim))
-    perms = g._permutations
+    tables = [([1 << p for p in perm],
+               all(perm[p] == a for a, p in enumerate(perm)))
+              for perm in g._permutations]
     levels, orbits = list(levels), list(orbits)
     while len(levels) <= codim and levels[-1] != (full,):
         k = len(levels)
@@ -446,19 +447,32 @@ def _orbit_levels(g, codim: int):
             if start in seen:
                 continue
             seen.add(start)
-            orbit = [start]
-            for mask in orbit:
-                for perm in perms:
-                    img = _permute_mask(mask, perm)
-                    if img not in seen:
-                        seen.add(img)
-                        orbit.append(img)
-                if len(seen) > bound:
-                    raise CatalogDataError(
-                        f"{g.name}: the orbits of rank {k} exceed the"
-                        f" {bound} flats their covers allow; generator data"
-                        f" is inconsistent")
-            reps.append((min(orbit), len(orbit)))
+            least, size, frontier = start, 1, [(start, None)]
+            while frontier:
+                fresh = []
+                for mask, parent in frontier:
+                    atoms = []
+                    while mask:
+                        low = mask & -mask
+                        atoms.append(low.bit_length() - 1)
+                        mask ^= low
+                    for gen, (bit, involutive) in enumerate(tables):
+                        if gen == parent:
+                            continue
+                        img = sum(map(bit.__getitem__, atoms))
+                        if img not in seen:
+                            seen.add(img)
+                            fresh.append((img, gen if involutive else None))
+                            if img < least:
+                                least = img
+                    if len(seen) > bound:
+                        raise CatalogDataError(
+                            f"{g.name}: the orbits of rank {k} exceed the"
+                            f" {bound} flats their covers allow; generator"
+                            f" data is inconsistent")
+                size += len(fresh)
+                frontier = fresh
+            reps.append((least, size))
         levels.append(tuple(sorted(seen)))
         orbits.append(tuple(sorted(reps)))
     g._orbits = tuple(levels), tuple(orbits)

@@ -196,6 +196,27 @@ def _mul_vec(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _combine(conv[:deg], conv[deg:], _reduce_table(n))
 
 
+def _dot(order: int, xs, ys) -> "Cyc":
+    """sum(x * y) over values of Q(zeta_order), exactly: the numerators'
+    convolutions add up over one common denominator, and the sum is
+    reduced mod Phi_n and normalised once, to the same (num, den) as the
+    sum of the products."""
+    deg = _degree(order)
+    dens = [x.den * y.den for x, y in zip(xs, ys)]
+    den = math.lcm(*dens)
+    conv = [0] * (2 * deg - 1)
+    for x, y, d in zip(xs, ys, dens):
+        f = den // d
+        for i, a in enumerate(x.num):
+            if a:
+                a *= f
+                for j, b in enumerate(y.num):
+                    if b:
+                        conv[i + j] += a * b
+    return Cyc._norm(order, _combine(conv[:deg], conv[deg:],
+                                     _reduce_table(order)), den)
+
+
 def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise DivisionByZero("zero denominator")

@@ -136,13 +136,24 @@ class InductionCertificate:
         return len(self.steps)
 
     def replay(self) -> Arrangement:
-        arr = self.base
-        for step in self.steps:
-            if step.hyperplane in arr:
+        """The base with every step's hyperplane added.  Each step is
+        checked against the ones before it on one key set at the chain's
+        lcm order, and one arrangement is built at the end."""
+        base = self.base
+        hs = [step.hyperplane for step in self.steps]
+        order = math.lcm(base.order, *(h.order for h in hs))
+        keys = {h.promoted(order).key() for h in base}
+        for h in hs:
+            if h.dim != base.dim:
+                raise InvalidParameter(
+                    f"hyperplane of dimension {h.dim} in a"
+                    f" dimension-{base.dim} arrangement")
+            key = h.promoted(order).key()
+            if key in keys:
                 raise StaleCertificate(
-                    f"chain repeats the hyperplane {step.hyperplane.form()}")
-            arr = arr.with_hyperplane(step.hyperplane)
-        return arr
+                    f"chain repeats the hyperplane {h.form()}")
+            keys.add(key)
+        return Arrangement(base.dim, (*base.hyperplanes, *hs), base.order)
 
     def __repr__(self):
         return (f"InductionCertificate(steps={len(self.steps)},"

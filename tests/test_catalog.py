@@ -393,6 +393,37 @@ def _seeds(g) -> list:
     return [Hyperplane(cov, g.order) for cov in covs if cov is not None]
 
 
+def _reference_transform(h, mat, order):
+    """The image by the per-term loop that `_transform` replaced: one
+    `Cyc` product and one sum per nonzero term, each normalised."""
+    out = []
+    for j in range(h.dim):
+        acc = None
+        for i in range(h.dim):
+            c = h.coeffs[i]
+            if c:
+                term = c * mat[i][j]
+                acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else 0)
+    return Hyperplane(out, order)
+
+
+def test_transform_matches_the_per_term_loop():
+    # every shipped group's mirrors times its generators, G(3,3,3), and
+    # B3 at zeta=41, whose closure runs on exact keys
+    groups = _fresh_groups()
+    groups["G(3,3,3)"] = g333()
+    groups.update(load_groups(B3_ZETA41_TEXT))
+    for name, g in groups.items():
+        for mat in g.generators:
+            for h in reflection_arrangement(g).hyperplanes:
+                got = _transform(h, mat, g.order)
+                ref = _reference_transform(h, mat, g.order)
+                assert got.order == ref.order == g.order, name
+                assert [(c.order, c.num, c.den) for c in got.coeffs] == \
+                    [(c.order, c.num, c.den) for c in ref.coeffs], name
+
+
 def _reference_closure(g):
     """The exact closure: every (mirror, generator) image is transformed
     exactly and keyed by `Hyperplane.key`.  Returns the arrangement text
@@ -549,6 +580,22 @@ def test_orbit_levels_match_the_plain_builder_on_exact_keys(monkeypatch):
               for name in ("G24", "G25", "G26", "G28", "G29", "G32")}
     groups["G(3,3,3)"] = g333()
     _check_orbit_levels(groups)
+
+
+def test_g34_orbit_levels_down_to_the_centre():
+    # recorded with the per-orbit BFS that peeled each image bit by bit;
+    # its name puts it under CI's hash-seed runs of "-k orbit"
+    levels, orbits = _orbit_levels(_fresh_groups()["G34"], 6)
+    assert tuple(map(len, levels)) == \
+        (1, 126, 4515, 53480, 180411, 99960, 1)
+    sizes = [sorted(size for _, size in rank) for rank in orbits]
+    assert sizes[2:6] == [
+        [1680, 2835],
+        [560, 11340, 11340, 30240],
+        [1680, 2835, 5040, 27216, 30240, 45360, 68040],
+        [126, 672, 3402, 5040, 9072, 9072, 27216, 45360],
+    ]
+    assert list(map(sum, sizes)) == list(map(len, levels))
 
 
 def _swap(g, rng):

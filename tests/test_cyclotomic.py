@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfree import cyclotomic
 from arrfree.arrangement import Arrangement
@@ -21,6 +23,7 @@ from arrfree.cyclotomic import (
     MAX_NESTING,
     MAX_ORDER,
     NotAScalar,
+    _dot,
     check_header,
     cyclotomic_polynomial,
     format_linear,
@@ -280,6 +283,33 @@ def _random_value(rng: random.Random, order: int) -> Cyc:
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 # fields up to degree 40, for the inverse, subtraction and hash checks only
 WIDE_ORDERS = [15, 16, 20, 24, 30, 40, 41, 60]
+
+
+@st.composite
+def _dot_cases(draw):
+    """An order and two equal-length vectors over it, with zero entries
+    and numerators over denominators up to 12."""
+    order = draw(st.sampled_from((1, 3, 4, 5, 12, 15)))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    value = st.one_of(
+        st.just(zero(order)),
+        st.builds(lambda num, den: Cyc(order, num, den),
+                  st.lists(st.integers(-9, 9), min_size=deg, max_size=deg),
+                  st.integers(1, 12)))
+    n = draw(st.integers(0, 6))
+    vec = st.lists(value, min_size=n, max_size=n)
+    return order, draw(vec), draw(vec)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_dot_cases())
+def test_dot_is_the_sum_of_products(case):
+    order, xs, ys = case
+    acc = zero(order)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    got = _dot(order, xs, ys)
+    assert (got.order, got.num, got.den) == (acc.order, acc.num, acc.den)
 
 
 def test_field_axioms_fuzz():

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -534,6 +535,47 @@ def test_emit_rejects_foreign_arrangement():
     cert = is_inductively_free(arr)
     with pytest.raises(StaleCertificate):
         emit_induction_table(intermediate(3, 3, 2), cert)
+
+
+def test_replay_checks_each_step_and_builds_once(monkeypatch):
+    arr = intermediate(3, 3, 1)
+    cert = is_inductively_free(arr)
+    hs = [step.hyperplane for step in cert.steps]
+    x1 = Hyperplane([1, 0, 0])  # rational: an order-1 covector
+    first = hs.index(x1)
+    h = hs[first - 1 if first else 1]
+
+    def replay(hyperplanes):
+        steps = [InductionStep(g, (), ()) for g in hyperplanes]
+        return InductionCertificate(cert.base, steps, cert.exponents).replay()
+
+    def stale(hyperplanes, form):
+        with pytest.raises(StaleCertificate, match="^chain repeats the"
+                           f" hyperplane {re.escape(form)}$"):
+            replay(hyperplanes)
+
+    # a repeat given at the chain's order 3, at order 1 and at order 6
+    stale(hs + [h], h.form())
+    stale(hs + [x1], "a")
+    stale(hs + [h.promoted(6)], h.promoted(6).form())
+    # the first repeat is named: x_1's order-3 copy after x_1 itself
+    stale([x1] + hs + [h], "a")
+    # a wrong dimension before a repeat raises first
+    with pytest.raises(InvalidParameter, match="^hyperplane of dimension 2"
+                       " in a dimension-3 arrangement$"):
+        replay(hs[:1] + [Hyperplane([1, 0])] + hs)
+
+    built = []
+    init = Arrangement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Arrangement, "__init__", counted)
+    got = cert.replay()
+    assert len(built) == 1
+    assert got == arr and got.hyperplanes == arr.hyperplanes
 
 
 def test_verify_flags_bad_rows():
