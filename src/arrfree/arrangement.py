@@ -25,10 +25,10 @@ from arrfree.cyclotomic import (
     InvalidParameter,
     NotAScalar,
     _coerce,
+    _parse_row,
     check_header,
     format_linear,
     parse_linear,
-    parse_scalar,
     zero,
 )
 
@@ -455,6 +455,7 @@ class Arrangement:
     def from_text(cls, text: str) -> "Arrangement":
         header = None
         covs = []
+        memo = {}
         dim = order = 0
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -471,7 +472,7 @@ class Arrangement:
             if len(entries) != dim:
                 raise FormatError(
                     f"expected {dim} covector entries, got {len(entries)}: {raw.strip()!r}")
-            cov = [parse_scalar(e, order) for e in entries]
+            cov = _parse_row(entries, order, memo)
             if not any(cov):
                 raise FormatError(
                     f"the zero covector does not define a hyperplane: {raw.strip()!r}")

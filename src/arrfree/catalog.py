@@ -61,9 +61,9 @@ from arrfree.cyclotomic import (
     InvalidParameter,
     _coerce,
     _dot,
+    _parse_row,
     _read_int,
     check_header,
-    parse_scalar,
     root_of_unity,
 )
 
@@ -173,6 +173,7 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
     dim = order = expected = 0
     matrices: list[list[list[Cyc]]] = []
     rows: list[list[Cyc]] = []
+    memo: dict = {}
 
     def close_matrix():
         nonlocal rows
@@ -218,7 +219,7 @@ def load_groups(text: str) -> dict[str, GroupPresentation]:
             raise CatalogDataError(
                 f"{name} line {lineno}: expected {dim} entries, got {len(entries)}")
         try:
-            rows.append([parse_scalar(e, order) for e in entries])
+            rows.append(_parse_row(entries, order, memo))
         except FormatError as exc:
             raise CatalogDataError(f"{name} line {lineno}: {exc}") from exc
         if len(rows) == dim:

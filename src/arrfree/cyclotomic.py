@@ -431,14 +431,16 @@ class Cyc:
             c = self.num[k]
             if not c:
                 continue
-            q = Fraction(c, self.den)
-            mag = str(abs(q))
+            g = math.gcd(c, self.den)
+            mag = str(abs(c) // g)
+            if g != self.den:
+                mag += f"/{self.den // g}"
             if k == 0:
                 body = mag
             else:
                 sym = "z" if k == 1 else f"z^{k}"
-                body = sym if abs(q) == 1 else f"{mag}*{sym}"
-            parts.append("-" + body if q < 0 else body)
+                body = sym if mag == "1" else f"{mag}*{sym}"
+            parts.append("-" + body if c < 0 else body)
         return _signed_sum(parts)
 
     def __repr__(self) -> str:
@@ -618,6 +620,19 @@ def parse_scalar(text: str, order: int) -> Cyc:
     """Parse a scalar expression over Q(zeta_order)."""
     lin = _Parser(_tokenize(text), order, 0).parse()
     return lin.const
+
+
+def _parse_row(entries, order: int, memo: dict) -> list:
+    """parse_scalar of each entry, each distinct (entry, order) parsed once
+    per memo, a dict that lives in the caller's call.  Only successes are
+    kept, so a bad entry raises where it first appears."""
+    row = []
+    for e in entries:
+        c = memo.get((e, order))
+        if c is None:
+            c = memo[e, order] = parse_scalar(e, order)
+        row.append(c)
+    return row
 
 
 def parse_linear(text: str, order: int, dim: int) -> tuple[Cyc, ...]:

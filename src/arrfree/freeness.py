@@ -234,6 +234,12 @@ def _low_rank_chain(dim, atoms):
     return tuple(steps)
 
 
+def _plane_exps(c):
+    # c lines in a plane are inductively free (rank <= 2), with
+    # chi = (t - 1)(t - (c - 1)) (Orlik-Terao) for c >= 1 and t^2 for c = 0
+    return tuple(sorted((min(c, 1), max(c - 1, 0))))
+
+
 class _ChainSearch:
     """Memoised addition-chain search on the subarrangements (masks of
     atoms) of one lattice.  decide(mask, cand, parent), cand being the
@@ -243,7 +249,9 @@ class _ChainSearch:
     the lattice contracted at i, the lines through i that keep a second
     member of the mask; a node's counts are made only on a memo miss,
     by _counts at a root or by _drop from parent, its parent's (counts,
-    i).  exps memoises a mask's roots for the restriction searches."""
+    i).  In dimension 3 that restriction is counts[i] lines in a plane and
+    is read off its count; above, it gets a search of its own, and exps
+    memoises a mask's roots for the restriction searches."""
 
     __slots__ = ("levels", "dim", "memo", "exps", "through", "restrictions")
 
@@ -272,22 +280,26 @@ class _ChainSearch:
         moves = _removal_moves(cand)
         for _, i in sorted((c, i) for i, c in enumerate(counts) if c in moves):
             left = mask & ~(1 << i)
-            rmask = sum(1 << j for j, line in enumerate(self.through[i])
-                        if line & left)
-            restr = self.restrictions.get(i)
-            if restr is None:
-                restr = self.restrictions[i] = _ChainSearch(
-                    _contract(self.levels, 1 << i, 1), self.dim - 1)
-            rexp = restr.exps.get(rmask, _MISSING)
-            if rexp is _MISSING:
-                rexp = restr.exps[rmask] = _sub_exponents(
-                    restr.levels, rmask, restr.dim)
-            if rexp is None:
-                continue
+            if self.dim == 3:
+                restr, rexp = None, _plane_exps(counts[i])
+            else:
+                rmask = sum(1 << j for j, line in enumerate(self.through[i])
+                            if line & left)
+                restr = self.restrictions.get(i)
+                if restr is None:
+                    restr = self.restrictions[i] = _ChainSearch(
+                        _contract(self.levels, 1 << i, 1), self.dim - 1)
+                rexp = restr.exps.get(rmask, _MISSING)
+                if rexp is _MISSING:
+                    rexp = restr.exps[rmask] = _sub_exponents(
+                        restr.levels, rmask, restr.dim)
+                if rexp is None:
+                    continue
             # deletion-restriction: chi(B - H) = chi(B) + chi(B''), so the
             # deletion's roots are cand with the entry left by rexp lowered
             dexp = _chain_step(cand, rexp, -1)
-            if dexp is None or restr.decide(rmask, rexp) is None:
+            if dexp is None or (restr is not None
+                                and restr.decide(rmask, rexp) is None):
                 continue
             sub = self.decide(left, dexp, (counts, i))
             if sub is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arrfree import arrangement
+from arrfree import arrangement, cyclotomic
 from arrfree.arrangement import (
     Arrangement,
     Flat,
@@ -1115,6 +1115,30 @@ def test_arr_text_rejects_malformed():
     for text in bad:
         with pytest.raises(FormatError):
             Arrangement.from_text(text)
+
+
+def test_arr_text_parses_each_distinct_entry_once(monkeypatch):
+    # one memo per call, of successes only: a repeated entry is parsed
+    # once per call, and a bad entry raises at its first line
+    parse = cyclotomic.parse_scalar
+    calls = Counter()
+
+    def counted(text, order):
+        calls[text] += 1
+        return parse(text, order)
+
+    monkeypatch.setattr(cyclotomic, "parse_scalar", counted)
+    w = root_of_unity(3)
+    text = "arr v1 dim=3 zeta=3\n1, z, 0\n0, 1, z\nz, 0, 1\n"
+    for _ in range(2):
+        calls.clear()
+        assert Arrangement.from_text(text) == Arrangement(
+            3, [[1, w, 0], [0, 1, w], [w, 0, 1]], 3)
+        assert calls == {"1": 1, "z": 1, "0": 1}
+    calls.clear()
+    with pytest.raises(FormatError, match="unexpected end"):
+        Arrangement.from_text(text + "1, 2*, 0\n1, 2*, 0\n")
+    assert calls["2*"] == 1
 
 
 def test_zeta_order_cap():

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from arrfree import arrangement, catalog
+from arrfree import arrangement, catalog, cyclotomic
 from arrfree.arrangement import (Arrangement, Hyperplane, RankLimit,
                                  ZeroDimensional, _build_levels,
                                  _permute_mask, lattice_isomorphic)
@@ -135,6 +135,29 @@ def test_group_loader_rejects_bad_data():
     # an entry that is not a number names its group
     with pytest.raises(CatalogDataError, match="^Y: .*matrix of numbers"):
         GroupPresentation("Y", 2, 1, 2, [[["a", 0], [0, 1]]])
+
+
+def test_group_loader_parses_each_distinct_entry_once(monkeypatch):
+    # one memo per call, keyed by entry and order, of successes only
+    parse = cyclotomic.parse_scalar
+    calls = []
+
+    def counted(text, order):
+        calls.append((text, order))
+        return parse(text, order)
+
+    monkeypatch.setattr(cyclotomic, "parse_scalar", counted)
+    block = "dim=2 zeta={} hyperplanes=1\nz, 0\n0, 1\n\n1, 0\n0, z\n\n"
+    groups = load_groups("group X " + block.format(3)
+                         + "group Y " + block.format(4))
+    assert sorted(calls) == [(e, n) for e in "01z" for n in (3, 4)]
+    for name, order in (("X", 3), ("Y", 4)):
+        first, second = groups[name].generators
+        assert first[0][0] == second[1][1] == root_of_unity(order)
+    # a bad entry names its first line, also when it comes again
+    with pytest.raises(CatalogDataError, match="^X line 3: "):
+        load_groups("group X dim=2 zeta=1 hyperplanes=1\n"
+                    "1, 0\n0, 2*\n\n0, 2*\n1, 0\n")
 
 
 def test_group_loader_checks_its_header():

@@ -476,6 +476,43 @@ def test_str_roundtrip_fuzz():
         assert parse_scalar(str(v), n) == v
 
 
+def _reference_str(v) -> str:
+    """str(v) as it was rendered through Fraction, coefficient by
+    coefficient."""
+    parts = []
+    for k in range(len(v.num) - 1, -1, -1):
+        c = v.num[k]
+        if not c:
+            continue
+        q = Fraction(c, v.den)
+        mag = str(abs(q))
+        if k == 0:
+            body = mag
+        else:
+            sym = "z" if k == 1 else f"z^{k}"
+            body = sym if abs(q) == 1 else f"{mag}*{sym}"
+        parts.append("-" + body if q < 0 else body)
+    return cyclotomic._signed_sum(parts)
+
+
+@st.composite
+def _rendered_values(draw):
+    """Values whose coefficients are zero, +-1, other integers, or
+    fractions, over a common denominator."""
+    order = draw(st.sampled_from((1, 3, 4, 5, 8, 12, 15)))
+    den = draw(st.sampled_from((1, 2, 6, 12)) | st.integers(1, 10 ** 6))
+    coeff = (st.sampled_from((0, den, -den)) | st.integers(-12, 12)
+             | st.integers(-10 ** 12, 10 ** 12))
+    deg = cyclotomic._degree(order)
+    return Cyc(order, draw(st.lists(coeff, min_size=deg, max_size=deg)), den)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_rendered_values())
+def test_str_matches_the_fraction_renderer(v):
+    assert str(v) == _reference_str(v)
+
+
 def test_power_and_scalar_mixing():
     w = root_of_unity(5)
     assert w ** 5 == 1

@@ -1070,6 +1070,11 @@ def test_broken_count_updates_are_caught(monkeypatch):
             assert necessary_condition_counts(arr).payload() != want
 
 
+# the paper's refuted restrictions of rank 4 that the search decides, and
+# how many subarrangements it explores on each
+_REFUTED = {("G33", "A1"): 517, ("G34", "A1^2"): 2388}
+
+
 def test_counts_are_made_only_for_expanded_nodes(monkeypatch):
     # a child's counts are made on a memo miss, so no search (nor the
     # census) counts one subarrangement of one lattice twice
@@ -1092,23 +1097,77 @@ def test_counts_are_made_only_for_expanded_nodes(monkeypatch):
 
 def test_restriction_exponents_are_computed_once(monkeypatch):
     # a search computes each restriction's roots once per subarrangement;
-    # the restriction searches, and so their levels, live through _decide
+    # the restriction searches, and so their levels, live through _decide.
+    # Only restrictions of dimension >= 3 get a lattice: lines in a plane
+    # are read off their count (test_plane_exponents_match_the_slow_path)
     sub = freeness._sub_exponents
     seen = set()
 
     def once(levels, mask, dim):
+        assert dim >= 3, "a restriction to lines in a plane was built"
         assert (id(levels), mask) not in seen
         seen.add((id(levels), mask))
         return sub(levels, mask, dim)
 
     monkeypatch.setattr(freeness, "_sub_exponents", once)
     calls = 0
-    for arr in _oracle_inputs() + [restriction_by_type(group("G33"), "A1")]:
+    for arr in _oracle_inputs():
         seen.clear()
-        res = _decide(arr)
+        _decide(arr)
         calls += len(seen)
-    assert not res and res.explored == 517
-    assert calls > 1000
+    for (name, tag), explored in _REFUTED.items():
+        seen.clear()
+        res = _decide(restriction_by_type(group(name), tag))
+        assert not res and res.explored == explored
+        calls += len(seen)
+    assert calls > 400  # 436: 212 before G34/A1^2, 224 on it
+
+
+def test_plane_exponents_match_the_slow_path(monkeypatch):
+    # in dimension 3 the search reads each restriction's roots off its
+    # count; the lattice contracted at the atom gives the same roots for
+    # every atom of every subarrangement the searches reach, in the
+    # dimension-3 oracle inputs, the paper's seven restrictions and the
+    # dimension-3 restriction searches of its two refuted ones
+    search = _ChainSearch._search
+    contracted = {}
+    sizes = set()
+
+    def check(self, mask, cand, counts):
+        if self.dim == 3:
+            for i in _bits(mask):
+                key = (id(self.levels), i)
+                if key not in contracted:
+                    contracted[key] = _contract(self.levels, 1 << i, 1)
+                    assert freeness._plane_exps(0) == \
+                        _sub_exponents(contracted[key], 0, 2)
+                left = mask & ~(1 << i)
+                rmask = sum(1 << j for j, line in enumerate(self.through[i])
+                            if line & left)
+                assert freeness._plane_exps(counts[i]) == \
+                    _sub_exponents(contracted[key], rmask, 2), \
+                    f"atom {i} of mask {mask:#x}"
+                sizes.add(counts[i])
+        return search(self, mask, cand, counts)
+
+    monkeypatch.setattr(_ChainSearch, "_search", check)
+    paper = [Arrangement(dim, hyps, order) for dim, order, hyps in
+             map(_table_chain, sorted(TABLES.glob("*.tbl")))]
+    for arr in [a for a in _oracle_inputs() if a.dim == 3] + paper:
+        contracted.clear()
+        _decide(arr)
+    for (name, tag), explored in _REFUTED.items():
+        contracted.clear()
+        res = _decide(restriction_by_type(group(name), tag))
+        assert not res and res.explored == explored
+    assert sizes == set(range(1, 15))
+
+
+def test_broken_plane_exponents_are_caught(monkeypatch):
+    for variant in (lambda c: (1, c), lambda c: (0, c), lambda c: (1, 1)):
+        monkeypatch.setattr(freeness, "_plane_exps", variant)
+        with pytest.raises(AssertionError):
+            _check_search_against_exact()
 
 
 def test_broken_deletion_exponents_are_caught(monkeypatch):

@@ -10,6 +10,10 @@ payload names the file it read.
 
 The corrupted copies raise the last claimed restriction exponent of one
 row by a fixed amount.
+
+The search pins (`induce FILE`, text and JSON) were recorded before the
+chain search read a dimension-3 restriction's exponents off its size,
+from restrictions built and decided as lattices of their own.
 """
 
 from __future__ import annotations
@@ -307,6 +311,112 @@ def test_catalog_builds_are_pinned(capsys):
     got = catalog_outputs(capsys)
     assert len(got) == 19
     assert got == CATALOG_GOLDEN
+
+
+# the paper's seven restrictions, its two refuted ones of rank 4, and
+# the intermediate cells intermediate(3, ell, k), ell = 3, 4
+SEARCH_INPUTS = ("g29_a1", "g31_a1", "g33_a1sq", "g33_a2", "g34_a1a2",
+                 "g34_a1cube", "g34_a3", "g33_a1", "g34_a1sq")
+
+SEARCH_GOLDEN = {
+    "induce g29_a1.arr": (
+        0, "149598d4f99d85f7ad26c1b328249bd2252ebce2a8c5953bc9bf85d985530624"),
+    "induce g29_a1.arr --json": (
+        0, "c5837166ea6c48578dc5a7398c9794db106388552c9660f0120542c933aa08c0"),
+    "induce g31_a1.arr": (
+        0, "96faa5490a6e2b944f8345caf1f9ddd7ca6e00ca9ec3036578db3a4db5563a1f"),
+    "induce g31_a1.arr --json": (
+        0, "999b8ecf6098807b0a2204c46d62f531fd712b3b1360b51c31a8025145617821"),
+    "induce g33_a1sq.arr": (
+        0, "a8759180913a51fb6b0e09ffb0810cd373760ffefc2fc7d25ccac1b8e731546c"),
+    "induce g33_a1sq.arr --json": (
+        0, "470b6d602443aa36bb9c4fc7d134b0935caba74c2fe00fa703c9b872b2cb56fa"),
+    "induce g33_a2.arr": (
+        0, "0ec4ab6b5278130853c6016da1a7c7e831235eabb16d96791f5d0ee36f46155f"),
+    "induce g33_a2.arr --json": (
+        0, "3f8046314511136018b567dc61829a5a2d703a5564b3546f3e83e03083f3f9b7"),
+    "induce g34_a1a2.arr": (
+        0, "2fe5ba1ad5fff72eca25303970fb551a665e73ef28d0f5d818191cfcf520fe19"),
+    "induce g34_a1a2.arr --json": (
+        0, "bf387fadfa2c81fdac0351664738c103a1e43fb83e14e598c5a1c684fe2ad2fb"),
+    "induce g34_a1cube.arr": (
+        0, "3802dd520858dc476c1632bc987d1679732c1a477490a3d3985adeb38fe79c86"),
+    "induce g34_a1cube.arr --json": (
+        0, "2732aa1a5e2291907e993a86434cbbc0842157cc33e51af9e40acb7b12ef8e7b"),
+    "induce g34_a3.arr": (
+        0, "026bfdcfb92987980f02cfcc154ece63eb78f183c67602ebf27d461a27e7fa28"),
+    "induce g34_a3.arr --json": (
+        0, "48f7c37919e450a776f343e428baa3c93875cb36f57668998d58887d1042c1ab"),
+    "induce g33_a1.arr": (
+        1, "a1442461525999d1ddfb76dd3209935571a8cde830c8b14679647366b19d858b"),
+    "induce g33_a1.arr --json": (
+        1, "9213505fe5752261596cd7f7b4d29e45de833da8228220b21c3a5e0c87c7004e"),
+    "induce g34_a1sq.arr": (
+        1, "a54df9b988506a1b40d43513b2bfa23aafe8e4aca27dd2536b87c18f2db6acb2"),
+    "induce g34_a1sq.arr --json": (
+        1, "5729328fdb03804c97686d4cc8ff5c4babe3fc99e5a224d9e0b5083c10a14a3d"),
+    "induce int_3_3_0.arr": (
+        1, "ae457d81470b41edf8236bc05876955b856162ec0bb48fab443dae605ddf980a"),
+    "induce int_3_3_0.arr --json": (
+        1, "262b4559f3630460f4126299169ed5e9bffcf788bf87cc933c08c3e307d17373"),
+    "induce int_3_3_1.arr": (
+        0, "96688873b4c7c02c80235a3f42ebd24f219c6b5fa009178309c466cca654744a"),
+    "induce int_3_3_1.arr --json": (
+        0, "b0f84f3c9d61058706d7f88b705dead482d798bff21bcb342707cbdeaf8f5e74"),
+    "induce int_3_3_2.arr": (
+        0, "aa3c7964985790ad7d07b4978615e3a272932f74508f07a931686fcac270762e"),
+    "induce int_3_3_2.arr --json": (
+        0, "2fb053f982bf07721954db649bc90d9a08a231f3a381a6f59933df955c26f971"),
+    "induce int_3_3_3.arr": (
+        0, "ef00b737fa14e36d785b449e9bf324f0e6122dc31287910455f597ae77384e25"),
+    "induce int_3_3_3.arr --json": (
+        0, "1e0afbdd508b316502a936d72d193d32928588deac4dab9a21db4ad7376f4e56"),
+    "induce int_3_4_0.arr": (
+        1, "9c592cb43025ab10f4120a94d5c63cded4a58ad6c5a79f7ee44d7e38b42b8a6e"),
+    "induce int_3_4_0.arr --json": (
+        1, "d4c7f8979491ea4999985b33d65aaa398f29cdae0bf4620750fd20838003f53f"),
+    "induce int_3_4_1.arr": (
+        1, "9f49e0df037244e647e858118e5b7a5ac79718a1497cc6b924a3ff670ab9df8d"),
+    "induce int_3_4_1.arr --json": (
+        1, "99d8eb2474e286dc3c127a72a23c08bb16ba80abedae715d1fa5608a7b726b58"),
+    "induce int_3_4_2.arr": (
+        0, "0539db67246fd06660717be2b2236454dadb8e03e79117c3691609b77f849b56"),
+    "induce int_3_4_2.arr --json": (
+        0, "0288571bc2fb42344f9f3860efc4211eb5041a391a6de00a5173919e1369be57"),
+    "induce int_3_4_3.arr": (
+        0, "77005eb199917bfa72ce5f8621f862f1b4e506a6114e8cf5c98bf37e1725473f"),
+    "induce int_3_4_3.arr --json": (
+        0, "63dbbc8a972979ea664ecd43ab13a5ffa5b91bf543f4ad04f1f8203a537b775d"),
+    "induce int_3_4_4.arr": (
+        0, "e4b4ccc8861cabdc3e7dbf654e4eff6f0d472602556a965c62bbe2e94fc9b68c"),
+    "induce int_3_4_4.arr --json": (
+        0, "353a59d044e00f1755200a61b7eac342d8050aef4bf1607d62e08b99bea58185"),
+}
+
+
+def search_outputs(workdir: Path, capsys) -> dict:
+    """{argv: (exit code, sha256 of stdout)} of every pinned search, with
+    its files written to workdir, the current directory."""
+    files = {f"{stem}.arr": (ROOT / "bench" / "inputs" / f"{stem}.arr")
+             .read_text() for stem in SEARCH_INPUTS}
+    files.update({f"int_3_{ell}_{k}.arr": intermediate(3, ell, k).to_text()
+                  for ell in (3, 4) for k in range(ell + 1)})
+    got = {}
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+        for argv in (["induce", name], ["induce", name, "--json"]):
+            code = main(argv)
+            stdout = capsys.readouterr().out
+            got[" ".join(argv)] = (code, hashlib.sha256(stdout.encode())
+                                   .hexdigest())
+    return got
+
+
+def test_searches_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = search_outputs(tmp_path, capsys)
+    assert len(got) == 36
+    assert got == SEARCH_GOLDEN
 
 
 def test_flat_orbits_are_pinned():
