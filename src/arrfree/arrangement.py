@@ -117,19 +117,23 @@ def _rref_insert(rows, pivots, red, p):
     return new_rows, new_pivots
 
 
+def _exact_insert(rows, pivots, vec):
+    """Insert vec into an rref basis over Q(zeta_n); None when vec lies in
+    its span."""
+    red = _reduce(vec, rows, pivots)
+    p = next((i for i, v in enumerate(red) if v), None)
+    return None if p is None else _rref_insert(rows, pivots, red, p)
+
+
 def _rref(vectors, rank=None):
     """The rref basis (rows, pivots) of the span of the vectors.  It is
     unique, so it does not depend on their order; rank, when known, stops
     the scan once that many rows are found."""
-    rows: list = []
-    pivots: list = []
+    rows, pivots = (), ()
     for vec in vectors:
         if len(rows) == rank:
             break
-        red = _reduce(vec, rows, pivots)
-        p = next((i for i, v in enumerate(red) if v), None)
-        if p is not None:
-            rows, pivots = _rref_insert(rows, pivots, red, p)
+        rows, pivots = _exact_insert(rows, pivots, vec) or (rows, pivots)
     return tuple(rows), tuple(pivots)
 
 

@@ -990,9 +990,10 @@ def _mutant(fn, old: str, new: str):
 
 @pytest.fixture(scope="module")
 def replay_lattices():
-    """(levels, dim) of every distinct restriction lattice that a replay
-    of the two bench chains builds, keyed mod P and exactly (which
-    numbers the atoms in another order)."""
+    """(levels, dim) of every distinct lattice that a replay of the two
+    bench chains builds, and of each row's restriction lattice, built
+    directly from its keys, keyed mod P and exactly (which numbers the
+    atoms in another order)."""
     seen: list = [{}, {}]
     charpoly = arrangement._charpoly
 
@@ -1006,8 +1007,19 @@ def replay_lattices():
                 _uncertified(mp)
             mp.setattr(arrangement, "_charpoly", recording)
             for r in (3, 4):
-                path = _BENCH_INPUTS / f"chain_{r}_6_4.tbl"
-                assert verify_induction_table(path.read_text())
+                text = (_BENCH_INPUTS / f"chain_{r}_6_4.tbl").read_text()
+                assert verify_induction_table(text)
+                table = InductionTable.parse(text)
+                dim, order = table.dim, table.order
+                covs = [Hyperplane.parse(row.form, order, dim)
+                        .promoted(order).coeffs for row in table.rows]
+                vecs, mod = arrangement._key_vectors(covs, order, dim)
+                assert mod is not exact
+                rows = {frozenset(arrangement._keys_over(
+                    vecs, mod, 1 << n, 1, (1 << n) - 1))
+                    for n in range(len(vecs))}
+                for keys in rows:
+                    arrangement._keys_charpoly(keys, mod, dim - 1, order)
     assert len(seen[0]) == len(seen[1])
     return [*seen[0], *seen[1]]
 

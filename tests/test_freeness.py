@@ -265,11 +265,12 @@ def _mutant(module, fn, *edits, **names):
 
 def _check_replay_memo(monkeypatch, tables):
     """A replay keeps the previous row's restriction, and only within one
-    call.  It starts from the first row's, which has no hyperplanes.  Of
-    the 13 other distinct restrictions of a canonical
-    intermediate(r, 6, 4) table, in dimension 5, four get their lattice
-    built in dimension 5, and nine are derived from the row before by
-    deletion-restriction, which builds 13 lattices in dimension 4."""
+    call.  Of the 14 distinct restrictions of a canonical
+    intermediate(r, 6, 4) table, in dimension 5, the six of the rows that
+    raise the rank, the first row's included, are read off the chain's
+    chi with no lattice built, and the other eight are derived from the
+    row before by deletion-restriction, which builds 12 lattices in
+    dimension 4."""
     builds = Counter()
     real = arrangement._grow_levels
 
@@ -285,25 +286,25 @@ def _check_replay_memo(monkeypatch, tables):
         for r in (3, 3, 4):
             builds.clear()
             assert verify_induction_table(tables[r])
-            assert builds == {5: 4, 4: 13}, (r, builds)
+            assert builds == {4: 12}, (r, builds)
 
 
 def test_replay_memo_lives_in_one_call(monkeypatch):
     tables = {r: _canonical_table(r) for r in (3, 4)}
     _check_replay_memo(monkeypatch, tables)
 
-    # the previous row never reused, not updated after a direct build,
-    # and shared between calls
+    # the previous row never reused, not updated after a rank raise, and
+    # the chain's chi and span shared between calls
     broken = (
-        (("if keys != last:", "if True:"),
-         ("if dim > 3 and len(keys ^ last) <= _NEAR:", "if False:")),
-        (("chi = _keys_charpoly(keys, mod, dim - 1, order)",
-          "yield _integer_roots(_keys_charpoly(keys, mod, dim - 1, order),"
-          " len(keys))\n                continue"),),
-        (("last, chi, exps = set(), (0,) * (dim - 1) + (1,), (0,) * (dim - 1)",
-          "last, chi, exps = _SHARED.get(dim, (set(), (0,) * (dim - 1) + (1,),"
-          " (0,) * (dim - 1)))"),
-         ("last = keys", "_SHARED[dim] = keys, chi, exps\n"
+        (("elif keys != last:", "elif True:"),
+         ("elif len(keys ^ last) <= _NEAR:", "elif False:")),
+        (("basis, chi = wider, whole[1:]",
+          "basis, chi = wider, whole[1:]\n"
+          "            yield _integer_roots(chi, len(keys))\n"
+          "            continue"),),
+        (("whole, basis = (0,) * dim + (1,), ((), ())",
+          "whole, basis = _SHARED.get(dim, ((0,) * dim + (1,), ((), ())))"),
+         ("last = keys", "_SHARED[dim] = whole, basis\n"
           "        last = keys")),
     )
     for edits in broken:
@@ -455,6 +456,115 @@ def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
                     # the generator met a residue of zero, read as no key
                     caught = True
                 assert caught, (name, mod)
+
+
+def _replayed_chis(monkeypatch, chain, dim, order, hs):
+    """(keys, chi, mod) of each row of the chain as the given
+    `_chain_restrictions` finds them: a row's chi is the last one whose
+    roots it took, since a row that keeps its chi takes none."""
+    seen = {}
+
+    def key_vectors(*args):
+        vecs, seen["mod"] = arrangement._key_vectors(*args)
+        return vecs, seen["mod"]
+
+    def keys_over(*args):
+        seen["keys"] = arrangement._keys_over(*args)
+        return seen["keys"]
+
+    def roots(chi, bound):
+        seen["chi"] = tuple(chi)
+        return arrangement._integer_roots(chi, bound)
+
+    order = math.lcm(order, *(h.order for h in hs))
+    covs = [h.promoted(order).coeffs for h in hs]
+    with monkeypatch.context() as m:
+        for name, fn in (("_key_vectors", key_vectors),
+                         ("_keys_over", keys_over),
+                         ("_integer_roots", roots)):
+            m.setitem(chain.__globals__, name, fn)
+        rows = [(set(seen["keys"]), seen["chi"], seen["mod"])
+                for _ in chain(dim, order, covs)]
+    return order, rows
+
+
+def _chis_are_built_ones(monkeypatch, chain, cases, built) -> bool:
+    """True when every row's chi is that of its keys' lattice, built
+    directly once for each distinct set of keys and kept in built."""
+    for dim, order, hs, _ in cases:
+        order, rows = _replayed_chis(monkeypatch, chain, dim, order, hs)
+        for keys, chi, mod in rows:
+            key = (dim, order, mod, frozenset(keys))
+            if key not in built:
+                built[key] = tuple(arrangement._keys_charpoly(
+                    keys, mod, dim - 1, order))
+            if chi != built[key]:
+                return False
+    return True
+
+
+_CHAIN_MUTANTS = {
+    "whole not updated after a row": (
+        "whole = tuple(a - b for a, b in zip(whole, (*chi, 0)))", "pass"),
+    "the rank probe always reports a raise": (
+        "wider = insert(*basis, vec)", "wider = insert(*basis, vec) or basis"),
+    "the prefix basis not updated after a raise": (
+        "basis, chi = wider, whole[1:]", "chi = whole[1:]"),
+}
+
+
+def test_replay_row_chi_is_the_built_one(chain_cases, monkeypatch):
+    """Every row's chi, whether read off the chain's own chi (a row that
+    raises the rank), off its size (dimension 3), reused, derived from
+    the row before or built, is the chi of its keys' lattice built
+    directly, mod P and exactly: on the shipped tables, the canonical
+    orders, the rational chain whose rank rises mid-chain and the chain
+    over Q(zeta_41)."""
+    chain = freeness._chain_restrictions
+    built: dict = {}
+    for certified in (True, False):
+        with monkeypatch.context() as m:
+            if not certified:
+                m.setattr(arrangement, "_certified", lambda covs, s: False)
+            assert _chis_are_built_ones(monkeypatch, chain, chain_cases,
+                                        built)
+            for what, edit in _CHAIN_MUTANTS.items():
+                broken = _mutant(freeness, chain, edit)
+                assert not _chis_are_built_ones(monkeypatch, broken,
+                                                chain_cases, built), what
+
+
+def test_replay_reads_a_plane_restriction_off_its_size(monkeypatch):
+    """In dimension 3 a row's restriction is c distinct lines in a plane,
+    chi = (t - min(c, 1))(t - max(c - 1, 0)): every row of the shipped
+    tables, all of dimension 3, agrees with the lattice of its keys,
+    mod P and exactly, and their replay builds no lattice."""
+    chain = freeness._chain_restrictions
+    cases = [(*_table_chain(path), None)
+             for path in sorted(TABLES.glob("*.tbl"))]
+    assert len(cases) == 7 and {dim for dim, *_ in cases} == {3}
+    builds = []
+    real = arrangement._grow_levels
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    # the plane's chi with a sign slip
+    broken = _mutant(freeness, chain, ("chi = (lo * hi, -lo - hi, 1)",
+                                       "chi = (lo * hi, lo - hi, 1)"))
+    built: dict = {}
+    for certified in (True, False):
+        with monkeypatch.context() as m:
+            if not certified:
+                m.setattr(arrangement, "_certified", lambda covs, s: False)
+            assert _chis_are_built_ones(monkeypatch, chain, cases, built)
+            assert not _chis_are_built_ones(monkeypatch, broken, cases,
+                                            built)
+            m.setattr(arrangement, "_grow_levels", counting)
+            for path in sorted(TABLES.glob("*.tbl")):
+                assert verify_induction_table(path.read_text())
+            assert builds == []
 
 
 def test_certified_replay_does_no_exact_restriction(chain_cases,

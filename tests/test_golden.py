@@ -14,6 +14,12 @@ row by a fixed amount.
 The search pins (`induce FILE`, text and JSON) were recorded before the
 chain search read a dimension-3 restriction's exponents off its size,
 from restrictions built and decided as lattices of their own.
+
+The intermediate(3, 7, 5) pins (`induce --order canonical --json` and
+`verify-table --json` on the table of that chain) were recorded before a
+replay read a rank-raising row's restriction off the chain's own
+characteristic polynomial, from restriction lattices built in
+dimension 6.
 """
 
 from __future__ import annotations
@@ -130,6 +136,10 @@ GOLDEN = {
         0, "4b14f159b7692b30e3a5833fd2505a4df4e93b358d7b4eac5a8cb3adb5cea143"),
     "canonical_3_5_bad.tbl --json": (
         1, "476fb1b5449b11cd2e83761c85d2025af7204e7d5f595de5945f522bbeef7dfa"),
+    "int_3_7_5.arr --order canonical --json": (
+        0, "c467b6faccdfffd3f052bc6ef6785fbf192a7b576a50d32a0dbfc5ce808c2c3d"),
+    "canonical_3_7.tbl --json": (
+        0, "3fe77cbfcfb2bb9dcfe01d1d56ab55beffb21832adfc104800190f65ad8fdad8"),
 }
 
 
@@ -155,7 +165,7 @@ def _runs():
             out.append((name, name, body, ["verify-table", name]))
             out.append((f"{name} --json", name, body,
                         ["verify-table", name, "--json"]))
-    for r, ell in ((3, 4), (2, 5), (3, 5), (4, 5), (2, 6)):
+    for r, ell in ((3, 4), (2, 5), (3, 5), (4, 5), (2, 6), (3, 7)):
         name = f"int_{r}_{ell}_{ell - 2}.arr"
         out.append((f"{name} --order canonical --json", name,
                     intermediate(r, ell, ell - 2).to_text(),
@@ -166,6 +176,11 @@ def _runs():
     out.append(("canonical_3_5_bad.tbl --json", "canonical_3_5_bad.tbl",
                 _corrupt(text, 32, 1),
                 ["verify-table", "canonical_3_5_bad.tbl", "--json"]))
+    # 68 rows, seven of which raise the rank
+    chain = certify_chain(7, 3, canonical_induction_order(3, 7))
+    text = emit_induction_table(intermediate(3, 7, 5), chain.certificate)
+    out.append(("canonical_3_7.tbl --json", "canonical_3_7.tbl", text,
+                ["verify-table", "canonical_3_7.tbl", "--json"]))
     return out
 
 
@@ -190,7 +205,7 @@ def test_corrupted_rows_exist():
 def test_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = outputs(tmp_path, capsys)
-    assert len(got) == 42
+    assert len(got) == 44
     assert got == GOLDEN
 
 
