@@ -359,9 +359,7 @@ def reflection_arrangement(g) -> Arrangement:
 
     The closure runs on keys mod P when `_residues` has them, and stands
     when `_closure_certified` holds: then the key lookups are the exact
-    images.  Otherwise it runs again on the exact keys.  The certificate
-    bounds a maximum over the mirrors, and the seeds are mirrors, so
-    seeds that fail it take the exact keys at once (G24, G27)."""
+    images.  Otherwise it runs again on the exact keys (G24, G27)."""
     if isinstance(g, str):
         g = group(g)
     if g._arrangement is not None:
@@ -374,8 +372,6 @@ def reflection_arrangement(g) -> Arrangement:
     if not seeds:
         raise CatalogDataError(f"{g.name}: no generator acts as a reflection")
     residues = _residues(g, seeds)
-    if residues and not _closure_certified(seeds, g.generators):
-        residues = None
     mirrors, images = _close(g, seeds, residues)
     if residues and not _closure_certified(mirrors, g.generators):
         mirrors, images = _close(g, seeds, None)

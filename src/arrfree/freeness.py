@@ -9,8 +9,9 @@ works on bitmasks of its flats.  Certificates carry all intermediate
 exponent multisets with them; only replaying a chain, the independent
 check, recomputes each restriction's characteristic polynomial, from
 the chain's covectors, mod P under the chain's certificate and exactly
-otherwise: from the chain's own chi when the row raises the rank, else
-from the row before's by deletion-restriction, or from its lattice.
+otherwise: from the chain's own chi when the row raises the rank, from
+its size in dimension 3, else from the row before's by
+deletion-restriction.
 The module keeps no state between calls: every memo lives inside the
 call that fills it.
 
@@ -454,16 +455,6 @@ def _check_step(h, exps, rexp, delta, claim=None):
     return nxt
 
 
-# A row's restriction is derived from the previous row's when their key
-# sets differ in at most this many keys, and built directly otherwise.
-# Replaying chain_3_6_4 and chain_4_6_4 in-process, best of 7 (2-vCPU
-# Xeon, Python 3.11.7): 0 (equal sets only) 0.138 s, 1 0.081 s, 2 0.035 s,
-# 3 0.035 s, no bound 0.035 s.  The sets further apart there, 4 to 18
-# keys, are the rows that raise the rank, which take their chi from the
-# chain's; every other row is at most 2 keys from the row before.
-_NEAR = 2
-
-
 def _chain_restrictions(dim, order, covs):
     """The exponents of each row's restriction, when asked for: for the
     first n covectors, distinct and at one root order, restricted to the
@@ -477,24 +468,27 @@ def _chain_restrictions(dim, order, covs):
     at t^dim, and each row subtracts its restriction's chi (Orlik-Terao,
     Thm 2.56: chi(A' + H) = chi(A') - chi(A'^H)), exact whether or not
     the chain is free.  So is an rref basis of the prefix's covectors.
-    When H's covector is outside that span, H misses the centre T of A';
-    for v in T but not in H, every flat X of A' is (X n H) + <v>, so
-    X -> X n H is an isomorphism from L(A') onto L(A'^H) that lowers
-    each dimension by one (Orlik-Terao, Sec. 2.3), and the row's chi is
-    chi(A') / t, whole[1:], with no lattice built.
+    A row's chi follows one of three rules:
 
-    Of any other row only the previous row's keys S', chi and exponents
-    are needed.  A row with the keys S' reuses them.  At dim 3 the
-    restriction is c = |S| lines in a plane, with chi = (t - min(c, 1))
-    (t - max(c - 1, 0)).  At dim > 3, where a restriction can have rank
-    3 or more, a set S at most _NEAR keys from S' gets its chi from that
-    of S' by deletion and restriction (`_deletion_restriction`), from
-    restrictions one dimension lower; any other S gets its lattice
-    built.  That identity holds over any field, and every chi on the way
-    is that of a set of key vectors in dim - 1 coordinates, over F_P or
-    over Q(zeta_n) as the keys are; so it gives chi of S's own lattice
-    over that field, which the chain's one `_certified` check equates
-    with the exact restriction's."""
+    1. When H's covector is outside that span, H misses the centre T of
+       A'; for v in T but not in H, every flat X of A' is (X n H) + <v>,
+       so X -> X n H is an isomorphism from L(A') onto L(A'^H) that
+       lowers each dimension by one (Orlik-Terao, Sec. 2.3), and the
+       row's chi is chi(A') / t, whole[1:], with no lattice built.
+    2. At dim 3 the restriction is c = |S| lines in a plane, with chi =
+       (t - min(c, 1))(t - max(c - 1, 0)).
+    3. Otherwise chi of S comes from that of the previous row's keys S'
+       by deletion and restriction (`_deletion_restriction`), from
+       restrictions one dimension lower, however far apart S and S' are;
+       equal sets are an empty difference and keep chi as it is.  That
+       identity holds over any field, and every chi on the way is that
+       of a set of key vectors in dim - 1 coordinates, over F_P or over
+       Q(zeta_n) as the keys are; so it gives chi of S's own lattice over
+       that field, which the chain's one `_certified` check equates with
+       the exact restriction's.
+
+    The exponents are recomputed only when chi changes: equal chis have
+    equal sizes, the bound of their roots."""
     vecs, mod = _key_vectors(covs, order, dim)
     insert = _mod_insert if mod else _exact_insert
     whole, basis = (0,) * dim + (1,), ((), ())
@@ -502,18 +496,15 @@ def _chain_restrictions(dim, order, covs):
     for n, vec in enumerate(vecs):
         keys = set(_keys_over(vecs, mod, 1 << n, 1, (1 << n) - 1))
         wider = insert(*basis, vec)
+        before = chi
         if wider:
             basis, chi = wider, whole[1:]
-        elif keys != last:
-            if dim == 3:
-                lo, hi = _plane_exps(len(keys))
-                chi = (lo * hi, -lo - hi, 1)
-            elif len(keys ^ last) <= _NEAR:
-                chi = _deletion_restriction(last, chi, keys, mod, dim - 1,
-                                            order)
-            else:
-                chi = _keys_charpoly(keys, mod, dim - 1, order)
-        if wider or keys != last:
+        elif dim == 3:
+            lo, hi = _plane_exps(len(keys))
+            chi = (lo * hi, -lo - hi, 1)
+        else:
+            chi = _deletion_restriction(last, chi, keys, mod, dim - 1, order)
+        if chi != before:
             exps = _integer_roots(chi, len(keys))
         whole = tuple(a - b for a, b in zip(whole, (*chi, 0)))
         last = keys
@@ -594,13 +585,12 @@ def verify_induction_table(table) -> TableReport:
     Each restriction's exponents are recomputed from its characteristic
     polynomial, exact mod P under the chain's certificate
     (`_chain_restrictions`): chi of the chain so far divided by t when
-    the row raises its rank, read off its size in dimension 3, derived
-    from the previous row's by deletion-restriction, or read off its
-    lattice.  Whether the restriction is itself free is
-    not decided, so by Terao's addition theorem a verified chain
-    certifies inductive freeness only when the restrictions have rank
-    <= 2, that is for dim <= 3.  A certificate from is_inductively_free
-    decides every restriction.
+    the row raises its rank, read off its size in dimension 3, and
+    otherwise derived from the previous row's by deletion-restriction.
+    Whether the restriction is itself free is not decided, so by Terao's
+    addition theorem a verified chain certifies inductive freeness only
+    when the restrictions have rank <= 2, that is for dim <= 3.  A
+    certificate from is_inductively_free decides every restriction.
     """
     if isinstance(table, str):
         table = InductionTable.parse(table)

@@ -208,6 +208,19 @@ def test_restriction_to_flat():
     assert len(r) == 1  # all x_i - x_j collapse to one hyperplane on x1=x2=x3
 
 
+def test_flats_compare_by_their_span():
+    # two bases of one subspace give one flat, hashed alike
+    plane = Flat.from_covectors([[1, -1, 0], [0, 1, -1]], 3)
+    same = Flat.from_covectors([[1, 0, -1], [2, -2, 0]], 3)
+    assert plane == same and hash(plane) == hash(same)
+    assert len({plane, same}) == 1
+    line = Flat.from_covectors([[1, -1, 0]], 3)
+    assert plane != line and len({plane, line}) == 2
+    # the whole space of each dimension is its own flat
+    assert Flat.from_covectors([], 3) != Flat.from_covectors([], 4)
+    assert plane != [[1, -1, 0], [0, 1, -1]]
+
+
 def test_restriction_error_classes():
     a = braid_arrangement(3)
     # not an intersection of member hyperplanes

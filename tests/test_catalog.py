@@ -490,15 +490,15 @@ def test_residue_closure_matches_reference(monkeypatch):
     for name, g in groups.items():
         del calls[:]
         assert _closure(g) == _reference_closure(g), name
-        # no residue run where there are no residues, or where the seed
-        # mirrors already fail the certificate
-        assert bool(calls) == (name not in ("B3", "G24", "G27")), name
+        # a residue run wherever there are residues, G24 and G27
+        # included, whose keys then fail the certificate
+        assert bool(calls) == (name != "B3"), name
 
 
 def test_closure_certificate_covers_generator_images():
     # G24 and G27 certify their mirrors alone (`_certified` at s = 2) but
-    # not their images, so they take the exact keys; they fail already on
-    # their seed mirrors
+    # not their images, so they take the exact keys; so do their seed
+    # mirrors
     for name, g in _fresh_groups().items():
         arr = reflection_arrangement(g)
         certified = name not in ("G24", "G27")
@@ -528,23 +528,17 @@ def test_certified_closure_transforms_each_new_mirror_once(monkeypatch):
 
 def test_uncertified_closure_takes_exact_keys(monkeypatch):
     calls = _counting_transform(monkeypatch)
-    for on_seeds in (False, True):
-        # the certificate fails on the seeds, at most one per generator,
-        # or only on the whole closure
-        monkeypatch.setattr(
-            catalog, "_closure_certified",
-            lambda mirrors, gens: on_seeds and len(mirrors) <= len(gens))
-        groups = _fresh_groups()
-        for name in ("G33", "G34"):
-            g = groups[name]
-            del calls[:]
-            text, perms = _closure(g)
-            new = g.expected - len({h.key() for h in _seeds(g)})
-            # the residue run when the seeds pass, then one transform per
-            # (mirror, generator)
-            assert len(calls) == new * on_seeds + \
-                g.expected * len(g.generators)
-            assert (text, perms) == _reference_closure(g)
+    monkeypatch.setattr(catalog, "_closure_certified",
+                        lambda mirrors, gens: False)
+    groups = _fresh_groups()
+    for name in ("G33", "G34"):
+        g = groups[name]
+        del calls[:]
+        text, perms = _closure(g)
+        new = g.expected - len({h.key() for h in _seeds(g)})
+        # the residue run, then one transform per (mirror, generator)
+        assert len(calls) == new + g.expected * len(g.generators)
+        assert (text, perms) == _reference_closure(g)
 
 
 # ---- orbit-built levels against the plain lattice builder ----

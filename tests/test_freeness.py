@@ -196,6 +196,8 @@ def test_intermediate_rank3_certificate():
     assert cert
     assert cert.exponents == (1, 4, 5)
     assert cert.replay() == arr
+    # one step per hyperplane
+    assert len(cert) == len(arr) == 10
     # every step feeds the next one
     exps = (0, 0, 0)
     for step in cert.steps:
@@ -296,8 +298,8 @@ def test_replay_memo_lives_in_one_call(monkeypatch):
     # the previous row never reused, not updated after a rank raise, and
     # the chain's chi and span shared between calls
     broken = (
-        (("elif keys != last:", "elif True:"),
-         ("elif len(keys ^ last) <= _NEAR:", "elif False:")),
+        (("chi = _deletion_restriction(last, chi, keys, mod, dim - 1, order)",
+          "chi = _keys_charpoly(keys, mod, dim - 1, order)"),),
         (("basis, chi = wider, whole[1:]",
           "basis, chi = wider, whole[1:]\n"
           "            yield _integer_roots(chi, len(keys))\n"
@@ -323,13 +325,26 @@ def _table_chain(path):
         for row in table.rows]
 
 
+# Chains of type B in dimensions 4 and 5, with every row's restriction
+# split, in which rows that keep the rank are far from the row before:
+# rows 5 to 9 in dimension 4 by 4, 4, 4, 5 and 4 keys, rows 4, 6 and 8
+# to 11 in dimension 5 by 4, 6, 11, 12, 12 and 11 keys.
+FAR_CHAINS = (
+    (4, ("a", "a + d", "b - d", "c - d", "a - d", "d", "b - c", "a - c",
+         "c")),
+    (5, ("a + c", "a - e", "c", "a - c", "b + e", "c - e", "c + d", "a",
+         "c - d", "a + d", "d + e")),
+)
+
+
 @pytest.fixture(scope="module")
 def chain_cases():
     """Chains, each with every row's restriction exponents computed from
     the exact restriction: the shipped tables, the canonical orders, a
     rational chain whose rows 4 and 6 restrict to three planes each, of
-    rank 2 and 3, with a non-splitting row 5 between them, and a
-    dimension-3 arrangement over Q(zeta_41), which has no root mod P."""
+    rank 2 and 3, with a non-splitting row 5 between them, the far-row
+    chains and a dimension-3 arrangement over Q(zeta_41), which has no
+    root mod P."""
     chains = [_table_chain(path) for path in sorted(TABLES.glob("*.tbl"))]
     chains += [_table_chain(BENCH_INPUTS / f"chain_{r}_6_4.tbl")
                for r in (3, 4)]
@@ -337,6 +352,8 @@ def chain_cases():
                for r in (2, 3, 4) for ell in (3, 4, 5)]
     chains.append((4, 1, [Hyperplane.parse(form, 1, 4) for form in (
         "c + d", "b", "b + d", "c", "a + b - c", "d")]))
+    chains += [(dim, 1, [Hyperplane.parse(form, 1, dim) for form in forms])
+               for dim, forms in FAR_CHAINS]
     z = root_of_unity(41)
     covs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, z, z ** 2], [1, 1, 1]]
     covs += [[1, -z ** j, 0] for j in range(4)]
@@ -365,7 +382,7 @@ def _rows_match_restrictions(cases) -> bool:
 
 
 def test_row_exponents_match_the_restriction(chain_cases, monkeypatch):
-    assert len(chain_cases) == 20
+    assert len(chain_cases) == 22
     certified = []
     real = freeness._key_vectors
 
@@ -377,12 +394,54 @@ def test_row_exponents_match_the_restriction(chain_cases, monkeypatch):
     monkeypatch.setattr(freeness, "_key_vectors", recording)
     assert _rows_match_restrictions(chain_cases)
     # every chain but the one over Q(zeta_41) is read mod P
-    assert certified == [True] * 19 + [False]
+    assert certified == [True] * 21 + [False]
     with monkeypatch.context() as m:
         m.setattr(arrangement, "_certified", lambda covs, s: False)
         certified.clear()
         assert _rows_match_restrictions(chain_cases)
-        assert certified == [False] * 20
+        assert certified == [False] * 22
+
+
+def test_replay_derives_far_rows_by_deletion_restriction(chain_cases,
+                                                         monkeypatch):
+    """A row that keeps the rank gets its chi from the row before by
+    deletion-restriction however many keys apart they are: on the
+    far-row chains every row's exponents are the exact restriction's,
+    mod P and exactly, and the replay builds no lattice in dim - 1
+    coordinates, only restrictions one dimension lower."""
+    far = chain_cases[-3:-1]
+    assert [(dim, len(hs)) for dim, _, hs, _ in far] == [(4, 9), (5, 11)]
+    builds = Counter()
+    real = arrangement._grow_levels
+
+    def counting(vecs, mod, limit, levels):
+        builds[limit + 1] += 1
+        return real(vecs, mod, limit, levels)
+
+    # some row that keeps the rank is at least 3 keys from the row before
+    for dim, order, hs, _ in far:
+        _, rows = _replayed_chis(monkeypatch, freeness._chain_restrictions,
+                                 dim, order, hs)
+        ranks = [Arrangement(dim, hs[:n], order).rank()
+                 for n in range(len(hs) + 1)]
+        assert any(ranks[n] == ranks[n + 1] and len(keys ^ rows[n - 1][0])
+                   > 2 for n, (keys, _, _) in enumerate(rows) if n)
+    # only the first two keys of each difference taken, as a bounded
+    # derivation would
+    capped = _mutant(freeness, freeness._deletion_restriction,
+                     ("sorted(keys - last)", "sorted(keys - last)[:2]"),
+                     ("sorted(last - keys)", "sorted(last - keys)[:2]"))
+    for certified in (True, False):
+        with monkeypatch.context() as m:
+            if not certified:
+                m.setattr(arrangement, "_certified", lambda covs, s: False)
+            m.setattr(arrangement, "_grow_levels", counting)
+            for case in far:
+                builds.clear()
+                assert _rows_match_restrictions([case])
+                assert list(builds) == [case[0] - 2], builds
+            m.setattr(freeness, "_deletion_restriction", capped)
+            assert not _rows_match_restrictions(far)
 
 
 def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
@@ -409,9 +468,9 @@ def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
             arrangement, arrangement._exact_keys,
             ("inv = next(filter(None, vals)).inverse()", "inv = 1")),
          (False,)),
-        # the previous row matched by its size
+        # the exponents kept while the size is
         (freeness, "_chain_restrictions", chain(
-            ("if keys != last:", "if len(keys) != len(last):")),
+            ("if chi != before:", "if len(keys) != len(last):")),
          (True, False)),
         # an added key's chi added, a removed key's chi subtracted
         (freeness, "_deletion_restriction", near(
@@ -432,9 +491,8 @@ def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
     # rows 5, 6 and 7 restrict to four planes each, with exponents
     # (1, 1, 2), None and (1, 1, 2), and each of rows 6 and 7 swaps one key
     # of the row before for another.  In chain_cases, consecutive rows of
-    # one size have the same exponents, and a key swapped out meets
-    # another key over the key swapped in, so neither the size match nor
-    # the restriction against S' shows there
+    # one size have the same exponents, so the size match does not show
+    # there
     cases = chain_cases + [_with_restrictions(4, 1, [
         Hyperplane.parse(form, 1, 4)
         for form in ("a", "b", "c", "d", "a + b + c", "c + d", "a + b")])]
@@ -461,8 +519,9 @@ def test_broken_row_exponents_are_caught(chain_cases, monkeypatch):
 def _replayed_chis(monkeypatch, chain, dim, order, hs):
     """(keys, chi, mod) of each row of the chain as the given
     `_chain_restrictions` finds them: a row's chi is the last one whose
-    roots it took, since a row that keeps its chi takes none."""
-    seen = {}
+    roots it took, since a row that keeps its chi takes none, and t^(dim
+    - 1), that of no keys, before any."""
+    seen = {"chi": (0,) * (dim - 1) + (1,)}
 
     def key_vectors(*args):
         vecs, seen["mod"] = arrangement._key_vectors(*args)
@@ -870,9 +929,10 @@ def test_recursion_witness_round_trip():
     x1 = Hyperplane.parse("a", 3, 3)
     witness = RecursionWitness(base, [("remove", x1)])
     report = verify_recursion_witness(witness)
-    assert report.ok
+    assert report.ok and report
     assert report.exponents == (1, 4, 4)
     assert report.arrangement == intermediate(3, 3, 0)
+    assert report.describe() == "witness verified; final exponents 1,4,4"
 
     # climbing up by an addition needs a certified base as well
     x2 = Hyperplane.parse("b", 3, 3)
@@ -894,6 +954,8 @@ def test_recursion_witness_failures():
     report = verify_recursion_witness(RecursionWitness(base, [("add", x1)]))
     assert not report.ok and "already present" in report.failures[0].message
     assert report.failures[0].move == 1
+    assert not report
+    assert report.describe() == "move 1: a is already present"
 
     # a base that is not inductively free fails before any move runs
     report = verify_recursion_witness(
@@ -905,9 +967,10 @@ def test_recursion_witness_failures():
 
 
 def test_hereditary():
-    assert hereditarily_inductively_free(intermediate(3, 3, 1)).ok
+    report = hereditarily_inductively_free(intermediate(3, 3, 1))
+    assert report.ok and report
     report = hereditarily_inductively_free(intermediate(3, 3, 0))
-    assert not report.ok
+    assert not report.ok and not report
     # only the whole arrangement fails; restrictions have rank two
     assert [v for mask, v in report.verdicts.items() if not v] == [False]
     assert report.verdicts[0] is False
