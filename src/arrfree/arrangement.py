@@ -3,9 +3,10 @@
 Hyperplanes are normalized covectors (first nonzero entry 1).  The
 intersection lattice is built level by level; every flat is identified by
 the bitmask of the hyperplanes containing it, which is a complete
-invariant for central arrangements.  Each flat is found once: the flats
-just above a flat X are the classes of the hyperplanes outside X under
-one key each, the covector modulo X's rref basis, scaled to lead with 1.
+invariant for central arrangements.  Each flat is found once: the atoms
+are the hyperplanes, and the flats just above a flat X of rank >= 1 are
+the classes of the hyperplanes outside X under one key each, the
+covector modulo X's rref basis, scaled to lead with 1.
 The keys are read modulo a fixed prime P when a norm bound, checked once
 per build, shows that ranks mod P are the exact ranks, and are computed
 exactly otherwise.  Only the levels carry over from one rank to the next.
@@ -170,8 +171,9 @@ class Hyperplane:
         self._key = None
 
     @classmethod
-    def parse(cls, text: str, order: int, dim: int) -> "Hyperplane":
-        coeffs = parse_linear(text, order, dim)
+    def parse(cls, text: str, order: int, dim: int,
+              memo=None) -> "Hyperplane":
+        coeffs = parse_linear(text, order, dim, memo)
         if not any(coeffs):
             raise FormatError(
                 f"the zero form {text!r} does not define a hyperplane")
@@ -520,7 +522,11 @@ def _mod_insert(rows, pivots, vec):
 
 def _mod_span(mcovs, x: int, k: int):
     """The rref basis over F_P of the rank-k flat x, from its atoms, which
-    span rank k mod P under `_certified`."""
+    span rank k mod P under `_certified`.  At rank 1 it is x's atom,
+    unscaled: a normalised covector leads with 1 mod P as well."""
+    if k == 1:
+        vec = mcovs[(x & -x).bit_length() - 1]
+        return (vec,), (next(c for c, v in enumerate(vec) if v),)
     basis = ((), ())
     for j in _bits(x):
         if len(basis[1]) == k:
@@ -562,21 +568,31 @@ def _mod_keys(rows, pivots, mcovs, rest: int) -> dict:
     basis over F_P: cov_j modulo the rows, read on X's free coordinates,
     scaled so that its first nonzero entry is 1, and encoded as one int
     sum r_t P^t.  Rows in rref vanish on each other's pivots, so the
-    residue at a free coordinate f is cov_j[f] - sum_p cov_j[p] row_p[f].
+    residue at a free coordinate f is cov_j[f] - sum_p cov_j[p] row_p[f];
+    over a rank-1 flat, which most keys are read over, it is
+    cov_j[f] - cov_j[p] row[f] for its one row.
     The leading entries are inverted together (Montgomery's trick): one
     inverse of their product, and each one's inverse from it and the
     products of the leads before and after it."""
     free = [c for c in range(len(mcovs[0])) if c not in pivots]
-    cols = [[row[f] for row in rows] for f in free]
+    if len(rows) == 1:
+        (p,), (row,) = pivots, rows
+        line = [(f, row[f]) for f in free]
+    else:
+        cols = [[row[f] for row in rows] for f in free]
     residues = []
     total = 1
     while rest:
         low = rest & -rest
         rest ^= low
         vec = mcovs[low.bit_length() - 1]
-        head = [vec[p] for p in pivots]
-        vals = [(vec[f] - sum(map(mul, head, col))) % _P
-                for f, col in zip(free, cols)]
+        if len(rows) == 1:
+            c = vec[p]
+            vals = [(vec[f] - c * r) % _P for f, r in line]
+        else:
+            head = [vec[p] for p in pivots]
+            vals = [(vec[f] - sum(map(mul, head, col))) % _P
+                    for f, col in zip(free, cols)]
         lead = next(filter(None, vals))
         residues.append((low, vals, lead, total))
         total = total * lead % _P
@@ -616,7 +632,11 @@ def _key_vectors(covs, order: int, s: int):
 
 
 def _keys_over(vecs, mod: bool, x: int, k: int, rest: int) -> dict:
-    """The hyperplanes j in rest by their key over the rank-k flat x."""
+    """The hyperplanes j in rest by their key over the rank-k flat x; over
+    the empty flat, each on its own, with no keys: the covectors are
+    distinct, exactly and, under `_certified` at s >= 2, mod P too."""
+    if not x:
+        return {1 << j: 1 << j for j in _bits(rest)}
     if mod:
         return _mod_keys(*_mod_span(vecs, x, k), vecs, rest)
     return _exact_keys(*_rref((vecs[j] for j in _bits(x)), k), vecs, rest)
@@ -646,7 +666,7 @@ def _grow_levels(vecs, mod: bool, limit: int, levels):
     flat X v H_j.  The choice of keys is made once per build, by the
     caller; mod P, X's basis is spanned from its atoms.  Only the levels
     carry over from one rank to the next, so a resumed build runs as a
-    fresh one."""
+    fresh one.  Rank 1, the atoms, takes no keys (see `_keys_over`)."""
     m = len(vecs)
     levels = list(levels)
     k = len(levels) - 1

@@ -505,12 +505,10 @@ class _Lin:
         self.const = const
         self.coeffs = coeffs or {}
 
-    def add(self, other, sign: int) -> "_Lin":
-        const = self.const + other.const if sign > 0 else self.const - other.const
+    def add(self, other) -> "_Lin":
+        const = self.const + other.const
         coeffs = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            if sign < 0:
-                c = -c
             coeffs[i] = coeffs[i] + c if i in coeffs else c
         return _Lin(const, coeffs)
 
@@ -527,12 +525,19 @@ class _Lin:
 
 
 class _Parser:
-    def __init__(self, toks: list[str], order: int, dim: int):
+    """Recursive descent over the tokens.  With a memo, a dict that lives
+    in the caller's call, each signed term of the top-level sum is looked
+    up by (order, dim, its tokens), up to the next + or - outside
+    parentheses, and parsed once.  Only a term parsed to exactly those
+    tokens is kept, so a bad form raises what it raises unmemoised."""
+
+    def __init__(self, toks: list[str], order: int, dim: int, memo=None):
         self.toks = toks
         self.pos = 0
         self.depth = 0
         self.order = order
         self.dim = dim
+        self.memo = memo
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -551,15 +556,32 @@ class _Parser:
         return val
 
     def expr(self) -> _Lin:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        val = self.term()
-        if sign < 0:
-            val = val.neg()
+        val = self.signed()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            val = val.add(self.term(), -1 if op == "-" else 1)
+            val = val.add(self.signed())
+        return val
+
+    def signed(self) -> _Lin:
+        """A term and the sign before it, if any."""
+        key = None
+        if self.memo is not None and not self.depth:
+            end = self.pos + (self.peek() in ("+", "-"))
+            level = 0
+            for t in self.toks[end:]:
+                level += (t == "(") - (t == ")")
+                if level < 0 or not level and t in ("+", "-"):
+                    break
+                end += 1
+            key = (self.order, self.dim, *self.toks[self.pos:end])
+            if key in self.memo:
+                self.pos = end
+                return self.memo[key]
+        neg = self.peek() in ("+", "-") and self.take() == "-"
+        val = self.term()
+        if neg:
+            val = val.neg()
+        if key is not None and self.pos == end:
+            self.memo[key] = val
         return val
 
     def term(self) -> _Lin:
@@ -635,11 +657,14 @@ def _parse_row(entries, order: int, memo: dict) -> list:
     return row
 
 
-def parse_linear(text: str, order: int, dim: int) -> tuple[Cyc, ...]:
-    """Parse a homogeneous linear form; returns its coefficient vector."""
+def parse_linear(text: str, order: int, dim: int,
+                 memo=None) -> tuple[Cyc, ...]:
+    """Parse a homogeneous linear form; returns its coefficient vector.
+    A memo (see `_Parser`) shared by the forms of one call parses each
+    distinct signed term once."""
     if not 1 <= dim <= MAX_DIM:
         raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
-    lin = _Parser(_tokenize(text), order, dim).parse()
+    lin = _Parser(_tokenize(text), order, dim, memo).parse()
     if lin.const:
         raise FormatError("linear form has a nonzero constant term")
     z = zero(order)

@@ -591,13 +591,18 @@ def verify_induction_table(table) -> TableReport:
     addition theorem a verified chain certifies inductive freeness only
     when the restrictions have rank <= 2, that is for dim <= 3.  A
     certificate from is_inductively_free decides every restriction.
+
+    The rows' forms share one parse memo, which lives in this call, so
+    each distinct signed term of the table is parsed once.
     """
     if isinstance(table, str):
         table = InductionTable.parse(table)
     hyps = []
+    memo = {}
     for n, row in enumerate(table.rows, start=1):
         try:
-            hyps.append(Hyperplane.parse(row.form, table.order, table.dim))
+            hyps.append(Hyperplane.parse(row.form, table.order, table.dim,
+                                         memo))
         except FormatError as e:
             raise FormatError(f"row {n}: {e}") from None
     claimed = [(row.exps_before, row.restriction_exps) for row in table.rows]

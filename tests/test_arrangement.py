@@ -9,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrfree import arrangement, cyclotomic
 from arrfree.arrangement import (
@@ -703,16 +705,17 @@ def test_top_rank_is_read_off_rank(monkeypatch):
         mp.setattr(arrangement, "_mod_keys", recording_keys)
         mp.setattr(arrangement, "_rref", recording_rref)
         assert fresh.intersection_lattice().levels == expected
-    # each flat below rank r - 1 that has a rest spans one basis over F_P
-    # from its atoms and is keyed from it; no rank-(r-1) flat spans one,
-    # since those flats generate only the centre
+    # each flat of ranks 1 .. r - 2 that has a rest spans one basis over
+    # F_P from its atoms and is keyed from it; the empty flat is not keyed,
+    # as rank 1 is the atoms, and no rank-(r-1) flat spans one, since those
+    # flats generate only the centre
     assert all(keyed for _, _, keyed in spans)
     assert len({x for x, _, _ in spans}) == len(spans)
     assert all(x in expected[k] for x, k, _ in spans)
-    assert {k for _, k, _ in spans} == set(range(r - 1))
-    # every flat of ranks 1 .. r - 1 is one class of keys, once; no flat is
+    assert {k for _, k, _ in spans} == set(range(1, r - 1))
+    # every flat of ranks 2 .. r - 1 is one class of keys, once; no flat is
     # spanned exactly
-    assert made == Counter(x for level in expected[1:r] for x in level)
+    assert made == Counter(x for level in expected[2:r] for x in level)
     assert exact == []
     # resumed from a partial build that stops below, at or above the top
     for k in (r - 1, r, r + 1):
@@ -758,10 +761,13 @@ def test_certificate_failure_takes_the_exact_keys(monkeypatch):
     assert arr.intersection_lattice().levels == expected
     assert len(expected[1]) == 5
     assert _build_levels(arr) == expected
-    # forced to trust the residues mod P, the build merges the two
+    # forced to trust the residues mod P, the build keeps the two apart at
+    # rank 1, the atoms, which take no keys, and merges their lines through
+    # c into one flat at rank 2
     monkeypatch.setattr(arrangement, "_certified", lambda covs, s: True)
     forced = _build_levels(arr)
-    assert forced != expected and len(forced[1]) == 4
+    assert forced[1] == expected[1]
+    assert len(expected[2]) == 8 and len(forced[2]) == 7
     # the shipped groups certify their full lattices, except G27, whose
     # covectors need about 77 bits against log2 P of about 61
     certified = {name for name in group_names()
@@ -769,6 +775,39 @@ def test_certificate_failure_takes_the_exact_keys(monkeypatch):
                                 reflection_arrangement(name).hyperplanes],
                                reflection_arrangement(name).rank())}
     assert set(group_names()) - certified == {"G27"}
+
+
+def _recording_kernels(monkeypatch) -> list:
+    """Patch both key kernels to record (name, pivots) of each call."""
+    keyed = []
+    for name in ("_mod_keys", "_exact_keys"):
+        kernel = getattr(arrangement, name)
+
+        def recording(rows, pivots, vecs, rest, kernel=kernel, name=name):
+            keyed.append((name, pivots))
+            return kernel(rows, pivots, vecs, rest)
+
+        monkeypatch.setattr(arrangement, name, recording)
+    return keyed
+
+
+def test_rank_one_is_the_atoms(kernel_cases, monkeypatch):
+    # rank 1 takes no keys: no flat is keyed over an empty basis, mod P
+    # or exactly
+    keyed = _recording_kernels(monkeypatch)
+    assert _builds_as_reference(kernel_cases)
+    with monkeypatch.context() as mp:
+        _uncertified(mp)
+        assert _builds_as_reference(kernel_cases)
+    assert {name for name, _ in keyed} == {"_mod_keys", "_exact_keys"}
+    assert all(pivots for _, pivots in keyed)
+    assert _build_levels(Arrangement(2, [])) == ((0,),)
+    assert _build_levels(Arrangement(2, [[1, 1]]), 0) == ((0,),)
+    # an atom left out of rank 1, as if it were built from range(m - 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_keys_over", _mutant(
+            arrangement._keys_over, "_bits(rest)}", "_bits(rest >> 1)}"))
+        assert not _builds_as_reference(kernel_cases)
 
 
 def test_broken_kernels_are_caught(kernel_cases, monkeypatch):
@@ -1112,6 +1151,63 @@ def test_mod_keys_match_one_inverse_per_key():
             assert arrangement._mod_keys(*basis, mcovs, rest) == \
                 _reference_mod_keys(*basis, mcovs, rest), (x, rest)
     assert arrangement._mod_keys(*basis, mcovs, 0) == {}
+
+
+def _mod_entries():
+    """Entries mod P: zeros and small values, so that pivots and leading
+    free coordinates vanish, and large ones."""
+    return st.one_of(st.sampled_from((0, 0, 0, 1, 2, _P - 1)),
+                     st.integers(0, _P - 1))
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """An atom, not always normalised, and vectors to key over it, none a
+    multiple of it; in dims 2 to 6."""
+    dim = draw(st.integers(2, 6))
+    vector = st.lists(_mod_entries(), min_size=dim, max_size=dim)
+    atom = draw(vector.filter(any))
+    p = next(c for c, v in enumerate(atom) if v)
+    rest = []
+    for vec in draw(st.lists(vector, min_size=1, max_size=12)):
+        red = [(v - vec[p] * pow(atom[p], -1, _P) * a) % _P
+               for v, a in zip(vec, atom)]
+        if any(red):
+            rest.append(vec)
+    assume(rest)
+    return [atom] + rest
+
+
+def _rank_one_keys_agree(mcovs) -> bool:
+    """`_mod_keys` over the rank-1 basis of `_mod_span` against the
+    reference keys over the basis that `_mod_insert` builds; the atom
+    mcovs[0] is normalised first, as every caller's is."""
+    basis = arrangement._mod_insert((), (), mcovs[0])
+    mcovs = [basis[0][0], *mcovs[1:]]
+    rest = (1 << len(mcovs)) - 2
+    assert arrangement._mod_span(mcovs, 1, 1) == basis
+    fast = arrangement._mod_keys(*arrangement._mod_span(mcovs, 1, 1),
+                                 mcovs, rest)
+    return fast == _reference_mod_keys(*basis, mcovs, rest)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_rank_one_cases())
+def test_rank_one_keys_match_the_reference(mcovs):
+    assert _rank_one_keys_agree(mcovs)
+
+
+def test_rank_one_keys_drop_no_pivot_term(monkeypatch):
+    # atoms normalised and not; a zero pivot entry (the second vector)
+    # and zero leading free coordinates (the third)
+    cases = [[[1, 3, 0, 2], [0, 1, 1, 0], [5, 0, 0, 7], [2, 1, 4, 4]],
+             [[7, 2, 1], [0, 0, 1], [3, 0, 1], [1, 1, 1]],
+             [[0, 4, 1, 0, 0, 2], [0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 0, 1],
+              [1, 2, 3, 4, 5, 6]]]
+    assert all(map(_rank_one_keys_agree, cases))
+    monkeypatch.setattr(arrangement, "_mod_keys", _mutant(
+        arrangement._mod_keys, "(vec[f] - c * r) % _P", "vec[f] % _P"))
+    assert not all(map(_rank_one_keys_agree, cases))
 
 
 # -- text form ----------------------------------------------------------------

@@ -599,6 +599,27 @@ def test_orbit_levels_match_the_plain_builder_on_exact_keys(monkeypatch):
     _check_orbit_levels(groups)
 
 
+def test_orbit_levels_start_from_the_atoms(monkeypatch):
+    # rank 1 is the atoms with their orbits, and no flat is keyed over an
+    # empty basis, mod P or exactly
+    keyed = []
+    for name in ("_mod_keys", "_exact_keys"):
+        kernel = getattr(arrangement, name)
+
+        def recording(rows, pivots, vecs, rest, kernel=kernel, name=name):
+            keyed.append((name, pivots))
+            return kernel(rows, pivots, vecs, rest)
+
+        monkeypatch.setattr(arrangement, name, recording)
+    groups = _fresh_groups()
+    _check_orbit_levels({name: groups[name] for name in ("G25", "G28")})
+    with monkeypatch.context() as mp:
+        mp.setattr(arrangement, "_certified", lambda covs, s: False)
+        _check_orbit_levels({"G(3,3,3)": g333()})
+    assert {name for name, _ in keyed} == {"_mod_keys", "_exact_keys"}
+    assert all(pivots for _, pivots in keyed)
+
+
 def test_g34_orbit_levels_down_to_the_centre():
     # recorded with the per-orbit BFS that peeled each image bit by bit;
     # its name puts it under CI's hash-seed runs of "-k orbit"

@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from arrfree import cyclotomic
 from arrfree.arrangement import Arrangement
 from arrfree.catalog import intermediate, reflection_arrangement
+from arrfree.freeness import verify_induction_table
 from arrfree.cyclotomic import (
     Cyc,
     DivisionByZero,
@@ -33,6 +35,8 @@ from arrfree.cyclotomic import (
     root_of_unity,
     zero,
 )
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 # classical polynomials, constant term first
 KNOWN_PHI = {
@@ -272,6 +276,126 @@ def test_linear_form_rejections():
     for text in ("(a + b)^2", "(0*a)^2", "c^3"):
         with pytest.raises(FormatError, match="not linear"):
             parse_linear(text, 3, 3)
+
+
+# signed terms from a small pool, so that the forms of one draw share
+# many; the last ones are malformed alone or next to another term
+_COEFFS = ("", "2*", "-3*", "1/2*", "(z + 1)*", "(-z^2 - z)*", "z^2*",
+           "(2/3*z - 1)*", "z*", "(1/2)*")
+_TERMS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(_COEFFS),
+              st.sampled_from("abc")),
+    st.builds("{}*z^{}".format, st.sampled_from("abc"),
+              st.sampled_from("0123")),
+    st.sampled_from(("b*z", "a + a", "(a - b)*z", "z^7*c", "((c))")),
+    st.sampled_from(("a*b", "(a", "a)", "z^", "2", "d", "+", "", "2 3*b",
+                     "a^2", "a ? b", "z^-1*a")))
+
+
+@st.composite
+def _form_lists(draw):
+    """Forms in a, b and c that share signed terms, some malformed."""
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        terms = draw(st.lists(_TERMS, min_size=1, max_size=4))
+        signs = draw(st.lists(st.sampled_from(("+", "-")),
+                              min_size=len(terms), max_size=len(terms)))
+        lead = draw(st.sampled_from(("", "", "-", "+")))
+        forms.append(lead + terms[0] + "".join(
+            f" {sign} {term}" for sign, term in zip(signs[1:], terms[1:])))
+    return forms
+
+
+def _parsed(form: str, order: int, memo=None):
+    try:
+        return parse_linear(form, order, 3, memo)
+    except FormatError as e:
+        return str(e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_form_lists(), st.sampled_from((1, 3, 4, 5, 12)))
+def test_memoised_linear_forms_parse_as_plain_ones(forms, order):
+    memo: dict = {}
+    for form in forms:
+        plain = _parsed(form, order)
+        memoised = _parsed(form, order, memo)
+        assert memoised == plain, form
+        if not isinstance(plain, str):
+            assert [str(c) for c in memoised] == [str(c) for c in plain]
+    # a memo keeps only the terms that parsed, each to its own tokens
+    for key, lin in memo.items():
+        assert key[:2] == (order, 3)
+        fresh = cyclotomic._Parser(list(key[2:]), order, 3)
+        val = fresh.signed()
+        assert fresh.pos == len(key) - 2
+        assert (val.const, val.coeffs) == (lin.const, lin.coeffs)
+
+
+def test_memoised_forms_raise_as_plain_ones():
+    deep = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    # (form parsed first, the bad form after it with the same memo)
+    cases = (("a + z*b", "a*b"), ("a + z*b", "2 3*b"), ("a", "(a"),
+             ("a + z*b", "a + 1"), ("a + z*b", "a + z*b )"),
+             ("a + b", "a + + b"), ("z*a", "z^-1*a"),
+             ("a + z*b - z*c", "a + z*b - z*c + d"),
+             # a term memoised at the top level is not reused inside
+             # parentheses, where it would nest too deep
+             (f"{deep} + b", f"({deep}) + b"))
+    for first, bad in cases:
+        memo: dict = {}
+        assert not isinstance(_parsed(first, 4, memo), str)
+        error = _parsed(bad, 4)
+        assert isinstance(error, str)
+        assert _parsed(bad, 4, memo) == error, bad
+
+
+def test_a_memo_shared_across_orders_and_dims_keeps_them_apart():
+    memo: dict = {}
+    assert parse_linear("a + d", 4, 4, memo) == \
+        parse_linear("a + d", 4, 4)
+    with pytest.raises(FormatError, match="unknown coordinate 'd'"):
+        parse_linear("a + d", 4, 3, memo)
+    for order in (3, 4, 3):
+        assert parse_linear("z*a - b", order, 2, memo) == \
+            parse_linear("z*a - b", order, 2)
+        assert parse_linear("z*a - b", order, 2, memo)[0] == \
+            root_of_unity(order)
+    assert {key[:2] for key in memo} == {(4, 4), (4, 3), (3, 2), (4, 2)}
+
+
+def test_a_table_parses_each_signed_term_once(monkeypatch):
+    # the forms of these tables have no parentheses, so their signed
+    # terms are the pieces between the signs
+    tables = [_ROOT / "fixtures" / "tables" / "g29_a1.tbl",
+              _ROOT / "bench" / "inputs" / "chain_4_6_4.tbl"]
+    runs = []
+    term = cyclotomic._Parser.term
+
+    def counting(self):
+        if not self.depth:
+            runs.append(self.pos)
+        return term(self)
+
+    monkeypatch.setattr(cyclotomic._Parser, "term", counting)
+    for path in tables:
+        text = path.read_text()
+        forms = [line.split("|")[1].strip() for line in text.splitlines()
+                 if line.count("|") == 2 and line.split("|")[1].strip()]
+        terms = [re.sub(r"\s", "", t)
+                 for form in forms for t in re.findall(r"[+-]?[^+-]+", form)]
+        distinct = len(set(terms))
+        assert distinct < len(terms)
+        for _ in range(2):
+            # a second call parses again: the memo lives in one call
+            runs.clear()
+            assert verify_induction_table(text)
+            assert len(runs) == distinct, path.name
+        # without a memo, every term is parsed
+        runs.clear()
+        for form in forms:
+            parse_linear(form, 4, 6 if "chain" in path.name else 3)
+        assert len(runs) == len(terms)
 
 
 def _random_value(rng: random.Random, order: int) -> Cyc:

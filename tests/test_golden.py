@@ -143,11 +143,32 @@ GOLDEN = {
 }
 
 
+# (form, table row) -> the error line of `verify-table` on g29_a1.tbl with
+# that row's form replaced, which exits 3 with nothing on stdout; recorded
+# before the rows of a table shared one parse memo
+MALFORMED = {
+    ("a*b", 3): "error: row 3: product of coordinates is not linear",
+    ("2 3*b", 5): "error: row 5: unexpected trailing input at '3'",
+    ("(a", 1): "error: row 1: unbalanced parenthesis",
+    ("a + 1", 21): "error: row 21: linear form has a nonzero constant term",
+    ("a + z*b )", 2): "error: row 2: unexpected trailing input at ')'",
+    ("a + + b", 4): "error: row 4: unexpected token '+'",
+    ("z^-1*a", 6): "error: row 6: exponent must be a nonnegative integer",
+    ("a + z*b - z*c + d", 7):
+        "error: row 7: unknown coordinate 'd' for dimension 3",
+}
+
+
+def _table_rows(lines) -> list:
+    """The indices of the lines of a table's rows, the final line not
+    included."""
+    return [n for n, line in enumerate(lines) if line.count("|") == 2
+            and line.split("|")[1].strip()]
+
+
 def _corrupt(text: str, row: int, amount: int) -> str:
     lines = text.splitlines()
-    rows = [n for n, line in enumerate(lines) if line.count("|") == 2
-            and line.split("|")[1].strip()]
-    n = rows[row - 1]
+    n = _table_rows(lines)[row - 1]
     before, form, restr = lines[n].split("|")
     exps = [int(p) for p in restr.split(",")]
     exps[-1] += amount
@@ -207,6 +228,20 @@ def test_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     got = outputs(tmp_path, capsys)
     assert len(got) == 44
     assert got == GOLDEN
+
+
+def test_malformed_rows_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = TABLES["g29_a1"].read_text()
+    for (form, row), line in MALFORMED.items():
+        lines = text.splitlines()
+        n = _table_rows(lines)[row - 1]
+        before, _, restr = lines[n].split("|")
+        lines[n] = f"{before}| {form} |{restr}"
+        (tmp_path / "bad.tbl").write_text("\n".join(lines) + "\n")
+        code = main(["verify-table", "bad.tbl"])
+        out, err = capsys.readouterr()
+        assert (code, out, err.splitlines()[0]) == (3, "", line), form
 
 
 # the restrictions of the benchmark's restrict workload
