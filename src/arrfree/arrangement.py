@@ -401,16 +401,12 @@ class Arrangement:
     # -- lattice invariants ---------------------------------------------------
 
     def intersection_lattice(self) -> "Lattice":
-        """Every flat by rank.  The top rank r = rank() holds one flat, the
-        centre, which lies in every hyperplane; so the levels are built up
-        to rank r - 1, whose flats generate nothing, and the centre is
-        appended.  The levels are kept as the partial levels too."""
+        """Every flat by rank, up to the centre, which lies in every
+        hyperplane (`_grow_levels`).  The levels are kept as the partial
+        levels too."""
         if self._lattice is None:
-            r = self.rank()
-            levels = self._partial[:r]
-            if len(levels) < r:
-                levels = _build_levels(self, r - 1, levels)
-            self._partial = (*levels, ((1 << len(self)) - 1,))
+            if self._partial[-1] != ((1 << len(self)) - 1,):
+                self._partial = _build_levels(self, None, self._partial)
             self._lattice = Lattice(self, self._partial)
         return self._lattice
 
@@ -666,13 +662,19 @@ def _grow_levels(vecs, mod: bool, limit: int, levels):
     flat X v H_j.  The choice of keys is made once per build, by the
     caller; mod P, X's basis is spanned from its atoms.  Only the levels
     carry over from one rank to the next, so a resumed build runs as a
-    fresh one.  Rank 1, the atoms, takes no keys (see `_keys_over`)."""
+    fresh one.  Rank 1, the atoms, takes no keys (see `_keys_over`), and
+    neither does rank dim - 1: a flat of rank dim - 1 that is not the
+    centre lies only under the centre, of rank dim, which a build up to
+    rank dim or more appends.  The levels end at the centre."""
     m = len(vecs)
     levels = list(levels)
     k = len(levels) - 1
     full = (1 << m) - 1
-    while k < limit:
+    while k < limit and levels[-1] != (full,):
         k += 1
+        if k == len(vecs[0]):
+            levels.append((full,))
+            break
         found: list = []
         # a sentinel bit above every index in use keeps has[a] from growing
         # one bit at a time, through every size class of the allocator
@@ -706,8 +708,6 @@ def _grow_levels(vecs, mod: bool, limit: int, levels):
             span = (1 << len(found)) - (1 << start)
             for a in _bits(x):
                 has[a] |= span
-        if not found:
-            break
         levels.append(tuple(sorted(found)))
     return tuple(levels)
 
@@ -719,8 +719,7 @@ def _keys_charpoly(keys, mod: bool, dim: int, order: int, over=None):
     their restriction to it, whose hyperplanes are the keys of the
     others over it in dim - 1 coordinates.  In key order, leading zeros
     first as in `Arrangement`, the builder keys far fewer flats than in
-    hash order.  The levels end at the centre, as in
-    `Arrangement.intersection_lattice`."""
+    hash order."""
     keys = sorted(keys)
     vecs = []
     for key in keys:
@@ -736,10 +735,7 @@ def _keys_charpoly(keys, mod: bool, dim: int, order: int, over=None):
         x = 1 << keys.index(over)
         return _keys_charpoly(_keys_over(vecs, mod, x, 1, full ^ x), mod,
                               dim - 1, order)
-    levels = _grow_levels(vecs, mod, dim - 1, ((0,),))
-    if levels[-1] != (full,):
-        levels += ((full,),)
-    return _charpoly(levels, dim)
+    return _charpoly(_grow_levels(vecs, mod, dim, ((0,),)), dim)
 
 
 class Lattice:

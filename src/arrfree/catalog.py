@@ -33,14 +33,14 @@ import re
 from functools import lru_cache
 from importlib import resources
 from operator import mul
+from typing import NamedTuple
 
 from arrfree.arrangement import (
     _P,
     Arrangement,
     Flat,
     Hyperplane,
-    RankLimit,
-    _Bases,
+    _bits,
     _key_vectors,
     _keys_over,
     _l1,
@@ -514,78 +514,64 @@ def _localization_roots(levels, mask: int, dim: int):
     return None if exps is None else tuple(e for e in exps if e)
 
 
+class FlatOrbitLabel(NamedTuple):
+    """One orbit of flats, labeled by the type of its localization."""
+
+    tag: str
+    representative: Flat
+    codim: int
+    count: int
+    orbit_size: int
+
+
+def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
+    """Orbits of the codim-flats under the group, one label per orbit,
+    in the order of their representatives (`_orbit_levels`); none when
+    codim exceeds the rank.  A label's tag names its representative's
+    localization, whose flats are those below it: the flats of lower
+    rank and the representative itself.  Its flat is the rref of its
+    atoms, which span rank codim."""
+    if codim < 0:
+        raise InvalidParameter(f"codim must be nonnegative, got {codim}")
+    if isinstance(g, str):
+        g = group(g)
+    arr = reflection_arrangement(g)
+    covs = [h.coeffs for h in arr.hyperplanes]
+    levels, orbits = _orbit_levels(g, codim)
+    labels = []
+    for rep, size in orbits[codim] if len(orbits) > codim else ():
+        count = rep.bit_count()
+        roots = _localization_roots((*levels[:codim], (rep,)), rep, arr.dim)
+        tag = "empty" if not codim else next(
+            (t for t, r in _TYPE_TABLE.items() if r == roots),
+            f"unclassified(codim={codim},count={count})")
+        flat = Flat(*_rref((covs[j] for j in _bits(rep)), codim), arr.dim,
+                    arr.order)
+        labels.append(FlatOrbitLabel(tag, flat, codim, count, size))
+    return labels
+
+
 def restriction_by_type(g, tag: str) -> Arrangement:
     """Restrict the reflection arrangement at the canonically smallest flat
-    whose localization matches the tag: the least representative among
-    the matching orbits, as the type is constant on an orbit.  Raises
+    whose localization matches the tag: the first of `flat_orbits`'
+    labels with that tag, as the type is constant on an orbit.  Raises
     `AmbiguousType` when orbits of that type have restrictions whose
     lattices differ, so the tag names no one restriction."""
     if isinstance(g, str):
         g = group(g)
     t = normalize_type(tag)
-    roots = _TYPE_TABLE[t]
-    codim, count = len(roots), sum(roots)
-    arr = reflection_arrangement(g)
-    levels, orbits = _orbit_levels(g, codim)
-    reps = [rep for rep, _ in (orbits[codim] if len(orbits) > codim else ())
-            if rep.bit_count() == count
-            and _localization_roots(levels, rep, arr.dim) == roots]
+    reps = [lab.representative for lab in flat_orbits(g, len(_TYPE_TABLE[t]))
+            if lab.tag == t]
     if not reps:
         raise NoSuchType(f"{g.name} has no flat of type {t}")
-    bases = _Bases(arr)
-    first, *others = (arr.restricted(Flat(*bases[rep], arr.dim, arr.order))
-                      for rep in reps)
+    arr = reflection_arrangement(g)
+    first, *others = (arr.restricted(flat) for flat in reps)
     for other in others:
         if not lattice_isomorphic(first, other):
             raise AmbiguousType(
                 f"{g.name} has {len(reps)} orbits of flats of type {t}"
                 f" whose restrictions differ")
     return first
-
-
-class FlatOrbitLabel:
-    """One orbit of flats, labeled by the type of its localization."""
-
-    __slots__ = ("tag", "representative", "codim", "count", "orbit_size")
-
-    def __init__(self, tag: str, representative: Flat, codim: int, count: int,
-                 orbit_size: int):
-        self.tag = tag
-        self.representative = representative
-        self.codim = codim
-        self.count = count
-        self.orbit_size = orbit_size
-
-    def __repr__(self):
-        return (f"FlatOrbitLabel({self.tag}, codim={self.codim}, "
-                f"count={self.count}, orbit_size={self.orbit_size})")
-
-
-def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
-    """Orbits of the codim-flats under the group, one label per orbit,
-    in the order of their representatives (`_orbit_levels`)."""
-    if codim < 0:
-        raise InvalidParameter(f"codim must be nonnegative, got {codim}")
-    if isinstance(g, str):
-        g = group(g)
-    arr = reflection_arrangement(g)
-    if codim == 0:
-        top = Flat((), (), arr.dim, arr.order)
-        return [FlatOrbitLabel("empty", top, 0, 0, 1)]
-    if codim > 3:
-        raise RankLimit(f"flat orbits are computed up to codimension 3, "
-                        f"got {codim}")
-    levels, orbits = _orbit_levels(g, codim)
-    bases = _Bases(arr)
-    labels = []
-    for rep, size in orbits[codim] if len(orbits) > codim else ():
-        count = rep.bit_count()
-        roots = _localization_roots(levels, rep, arr.dim)
-        tag = next((t for t, r in _TYPE_TABLE.items() if r == roots),
-                   f"unclassified(codim={codim},count={count})")
-        flat = Flat(*bases[rep], arr.dim, arr.order)
-        labels.append(FlatOrbitLabel(tag, flat, codim, count, size))
-    return labels
 
 
 # -- canonical induction order ----------------------------------------------------

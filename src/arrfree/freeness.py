@@ -331,14 +331,15 @@ def _decide(arr: Arrangement):
     top = arr.candidate_exponents()
     if top is None:
         return NotIF(arr, "non-splitting")
-    search = _ChainSearch(arr.intersection_lattice().levels, arr.dim)
+    lattice = arr.intersection_lattice()
+    search = _ChainSearch(lattice.levels, arr.dim)
     res = search.decide((1 << len(arr)) - 1, top)
     if res is not None:
         steps = [InductionStep(arr.hyperplanes[i], b, r) for i, b, r in res]
         return InductionCertificate(Arrangement(arr.dim, (), arr.order),
                                     steps, top)
     level = None
-    if arr.rank() >= 4:
+    if lattice.rank >= 4:
         level = necessary_condition_counts(arr, exponents=top).death_level
     return NotIF(arr, "exhausted", level, len(search.memo))
 

@@ -598,7 +598,7 @@ def _assert_same_as_reference(arr: Arrangement, max_rank=None):
         for mask in level:
             assert bases[mask] == expected_bases[mask], mask
     if max_rank is None:
-        # through the top rank, which intersection_lattice() reads off rank()
+        # a build asked for every rank ends at the centre too
         assert _build_levels(arr) == expected
 
 
@@ -676,7 +676,6 @@ def test_top_rank_is_read_off_rank(monkeypatch):
     r = g33.rank()
     expected = _build_levels(g33)
     fresh = Arrangement(g33.dim, g33.hyperplanes, g33.order)
-    fresh.rank()  # its own rref is not the lattice's
     spans = []
     made = Counter()
     exact = []
@@ -714,7 +713,7 @@ def test_top_rank_is_read_off_rank(monkeypatch):
     assert all(x in expected[k] for x, k, _ in spans)
     assert {k for _, k, _ in spans} == set(range(1, r - 1))
     # every flat of ranks 2 .. r - 1 is one class of keys, once; no flat is
-    # spanned exactly
+    # spanned exactly, and no exact rref reads the rank
     assert made == Counter(x for level in expected[2:r] for x in level)
     assert exact == []
     # resumed from a partial build that stops below, at or above the top

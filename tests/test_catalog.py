@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from importlib import resources
@@ -9,8 +10,8 @@ from importlib import resources
 import pytest
 
 from arrfree import arrangement, catalog, cyclotomic
-from arrfree.arrangement import (Arrangement, Hyperplane, RankLimit,
-                                 ZeroDimensional, _build_levels,
+from arrfree.arrangement import (Arrangement, Flat, Hyperplane,
+                                 ZeroDimensional, _bits, _build_levels,
                                  _permute_mask, lattice_isomorphic)
 from arrfree.catalog import (
     AmbiguousType,
@@ -227,8 +228,8 @@ def test_flat_orbits_of_monomial():
 def test_flat_orbits_refuse_codims_out_of_range():
     with pytest.raises(InvalidParameter, match="codim must be nonnegative"):
         flat_orbits("G25", -1)
-    with pytest.raises(RankLimit):
-        flat_orbits("G25", 4)
+    # G25 has rank 3, so no flat has codim 4
+    assert flat_orbits("G25", 4) == []
 
 
 def test_canonical_induction_order_structure():
@@ -698,13 +699,22 @@ group A1xB2 dim=3 zeta=1 hyperplanes=5
 """
 
 
-def _matching_orbits(g, tag) -> list:
-    """Sizes of the orbits of flats whose localization has the tag's type."""
+def _matching_reps(g, tag) -> list:
+    """(least mask, size) of each orbit of flats with the tag's codim,
+    hyperplane count and localization roots, by the scan over the whole
+    orbit levels that `restriction_by_type` ran before it read
+    `flat_orbits`' labels."""
     roots = _TYPE_TABLE[tag]
     codim = len(roots)
     levels, orbits = _orbit_levels(g, codim)
-    return [size for rep, size in orbits[codim]
-            if _localization_roots(levels, rep, g.dim) == roots]
+    return [(rep, size) for rep, size in orbits[codim]
+            if rep.bit_count() == sum(roots)
+            and _localization_roots(levels, rep, g.dim) == roots]
+
+
+def _matching_orbits(g, tag) -> list:
+    """Sizes of the orbits of flats whose localization has the tag's type."""
+    return [size for _, size in _matching_reps(g, tag)]
 
 
 def test_restriction_by_type_across_orbits():
@@ -735,3 +745,88 @@ def test_restriction_by_type_across_orbits():
     with pytest.raises(AmbiguousType, match="A1xB2 has 3 orbits"):
         restriction_by_type(g, "A1")
     assert len(restriction_by_type(g, "A1^2")) == 1
+
+
+# ---- labels and restrictions against the scan they replaced ----
+
+def _flat_of(arr, mask) -> Flat:
+    """The flat of the mask, spanned by all of its atoms."""
+    return Flat.from_covectors([arr.hyperplanes[j] for j in _bits(mask)],
+                               arr.dim, arr.order)
+
+
+def _picked_flats(g, tag, monkeypatch) -> list:
+    """The flats that `restriction_by_type` restricts to, all taken to
+    have isomorphic restrictions; none when it finds no flat."""
+    picked = []
+    with monkeypatch.context() as mp:
+        mp.setattr(Arrangement, "restricted",
+                   lambda arr, flat: picked.append(flat) or arr)
+        mp.setattr(catalog, "lattice_isomorphic", lambda a, b: True)
+        try:
+            catalog.restriction_by_type(g, tag)
+        except NoSuchType:
+            pass
+    return picked
+
+
+def _check_labels(groups, monkeypatch):
+    """Every tag picks the flats of the count-and-roots scan, in its
+    order, and each label at codim 1-3 is its orbit's: the rref of all
+    of its atoms, its count and its size."""
+    for name, g in groups.items():
+        arr = reflection_arrangement(g)
+        for tag in _TYPE_TABLE:
+            assert _picked_flats(g, tag, monkeypatch) == [
+                _flat_of(arr, rep) for rep, _ in _matching_reps(g, tag)], \
+                (name, tag)
+        for codim in (1, 2, 3):
+            _, orbits = _orbit_levels(g, codim)
+            labels = catalog.flat_orbits(g, codim)
+            assert [(lab.representative, lab.count, lab.orbit_size)
+                    for lab in labels] == [
+                (_flat_of(arr, rep), rep.bit_count(), size)
+                for rep, size in orbits[codim]], (name, codim)
+
+
+def test_restriction_labels_match_the_orbit_scan(monkeypatch):
+    groups = {name: group(name) for name in group_names()}
+    _check_labels(groups, monkeypatch)
+    # a count filter in place of the tag filter: G30's codim-3 orbits A3
+    # and unclassified(codim=3,count=6) both have 6 hyperplanes; a basis
+    # stopped one rank short; a localization walk without the
+    # representative's own level
+    mutants = (
+        (catalog.restriction_by_type, "if lab.tag == t",
+         "if lab.count == sum(_TYPE_TABLE[t])", ("G30",)),
+        (catalog.flat_orbits, "_bits(rep)), codim)",
+         "_bits(rep)), codim - 1)", group_names()),
+        (catalog.flat_orbits, "(*levels[:codim], (rep,))", "levels[:codim]",
+         group_names()),
+    )
+    for fn, old, new, names in mutants:
+        src = inspect.getsource(fn)
+        assert src.count(old) == 1, old
+        namespace = dict(vars(catalog))
+        exec(src.replace(old, new), namespace)
+        with monkeypatch.context() as mp:
+            mp.setattr(catalog, fn.__name__, namespace[fn.__name__])
+            with pytest.raises(AssertionError):
+                _check_labels({name: groups[name] for name in names},
+                              monkeypatch)
+
+
+def test_flat_orbits_past_codim_3_cover_their_level():
+    # every orbit of every codim up to the rank, G34 aside: the sizes sum
+    # to the flats of that rank and each representative has codim rows
+    for name in group_names():
+        g = group(name)
+        if name == "G34":
+            continue
+        for codim in range(4, g.dim + 1):
+            levels, _ = _orbit_levels(g, codim)
+            labels = flat_orbits(g, codim)
+            assert sum(lab.orbit_size for lab in labels) == \
+                len(levels[codim]), (name, codim)
+            assert all(lab.representative.rank == codim for lab in labels)
+        assert flat_orbits(g, g.dim + 1) == []

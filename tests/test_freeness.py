@@ -277,9 +277,9 @@ def _check_replay_memo(monkeypatch, tables):
     real = arrangement._grow_levels
 
     def counting(vecs, mod, limit, levels):
-        # a build up to rank limit is of an arrangement in limit + 1
-        # coordinates
-        builds[limit + 1] += 1
+        # a replay's build runs up to its centre, whose rank is the number
+        # of coordinates, also when it has no vectors to count them by
+        builds[limit] += 1
         return real(vecs, mod, limit, levels)
 
     with monkeypatch.context() as m:
@@ -415,7 +415,7 @@ def test_replay_derives_far_rows_by_deletion_restriction(chain_cases,
     real = arrangement._grow_levels
 
     def counting(vecs, mod, limit, levels):
-        builds[limit + 1] += 1
+        builds[limit] += 1
         return real(vecs, mod, limit, levels)
 
     # some row that keeps the rank is at least 3 keys from the row before

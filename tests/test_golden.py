@@ -20,6 +20,13 @@ The intermediate(3, 7, 5) pins (`induce --order canonical --json` and
 replay read a rank-raising row's restriction off the chain's own
 characteristic polynomial, from restriction lattices built in
 dimension 6.
+
+The pins of every shipped group restricted to every type tag were
+recorded before `restriction_by_type` filtered `flat_orbits`' labels,
+from its own scan of the orbit levels.  The orbit digests past codim 3
+were recorded once `flat_orbits` labelled every codim, after their orbit
+sizes were checked to sum to the flats of their rank and each
+representative to have codim rows.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from arrfree.catalog import (canonical_induction_order, flat_orbits, group,
-                             group_names, intermediate)
+from arrfree.catalog import (_TYPE_TABLE, canonical_induction_order,
+                             flat_orbits, group, group_names, intermediate)
 from arrfree.cli import main
 from arrfree.freeness import certify_chain, emit_induction_table
 
@@ -289,6 +296,205 @@ CATALOG_GOLDEN = {
         0, "12edcabba1376c1263579e93507856f815d010628327c00b01390c23bbfec270"),
 }
 
+# every shipped group restricted to every tag of the type table: the
+# exit code and the sha256 of stdout, or the first line of stderr when it
+# fails; recorded before `restriction_by_type` read `flat_orbits`'
+# labels, from its own scan of the orbit levels
+RESTRICT_GOLDEN = {
+    "build --group G23 --restrict A1 --json": (
+        0, "6a7b8d8b944097f18cb2943d702b2cbbd717ac3faf9ce059155886e7d55df4d8"),
+    "build --group G23 --restrict A1^2 --json": (
+        0, "9eb356fa7f8606ac68dcd84f680609d9aef2f415db2855b74c1068198c93a4dc"),
+    "build --group G23 --restrict A2 --json": (
+        0, "dfaa1d466a8b1ecc30247dd1055e6ec31025fd8f6d5313a21de5f2018b5ed211"),
+    "build --group G23 --restrict A1^3 --json": (
+        2, "error: G23 has no flat of type A1^3"),
+    "build --group G23 --restrict A1A2 --json": (
+        2, "error: G23 has no flat of type A1A2"),
+    "build --group G23 --restrict A3 --json": (
+        2, "error: G23 has no flat of type A3"),
+    "build --group G23 --restrict G(3,3,3) --json": (
+        2, "error: G23 has no flat of type G(3,3,3)"),
+    "build --group G23 --restrict B3 --json": (
+        2, "error: G23 has no flat of type B3"),
+    "build --group G24 --restrict A1 --json": (
+        0, "1ee5961254d17a3fb9e25c3ef2f35d745277390c58d293dddddd9b55ea2a05aa"),
+    "build --group G24 --restrict A1^2 --json": (
+        2, "error: G24 has no flat of type A1^2"),
+    "build --group G24 --restrict A2 --json": (
+        0, "71edcec778c6920fe016c3de0c0afaf0fda1ab2c2fe1062ee0bf3f677c5ff03a"),
+    "build --group G24 --restrict A1^3 --json": (
+        2, "error: G24 has no flat of type A1^3"),
+    "build --group G24 --restrict A1A2 --json": (
+        2, "error: G24 has no flat of type A1A2"),
+    "build --group G24 --restrict A3 --json": (
+        2, "error: G24 has no flat of type A3"),
+    "build --group G24 --restrict G(3,3,3) --json": (
+        2, "error: G24 has no flat of type G(3,3,3)"),
+    "build --group G24 --restrict B3 --json": (
+        2, "error: G24 has no flat of type B3"),
+    "build --group G25 --restrict A1 --json": (
+        0, "01db57b2a96b802ece2489e0dfe15d5571df54724d727ff09bb96fbe00004270"),
+    "build --group G25 --restrict A1^2 --json": (
+        0, "dc49980b17efbd3ba18cd9a4a459475bd13c14cfc2d83a7beccd0ab00468702d"),
+    "build --group G25 --restrict A2 --json": (
+        2, "error: G25 has no flat of type A2"),
+    "build --group G25 --restrict A1^3 --json": (
+        2, "error: G25 has no flat of type A1^3"),
+    "build --group G25 --restrict A1A2 --json": (
+        2, "error: G25 has no flat of type A1A2"),
+    "build --group G25 --restrict A3 --json": (
+        2, "error: G25 has no flat of type A3"),
+    "build --group G25 --restrict G(3,3,3) --json": (
+        2, "error: G25 has no flat of type G(3,3,3)"),
+    "build --group G25 --restrict B3 --json": (
+        2, "error: G25 has no flat of type B3"),
+    "build --group G26 --restrict A1 --json": (
+        0, "a1b43af6f7004a7a9f27e536eca5587d846f6ad8daf6bde26a88091bedfc0ff3"),
+    "build --group G26 --restrict A1^2 --json": (
+        0, "72550a977cdf90bbee44074971de6375889fb0e84bf6c105e65cabc294e79389"),
+    "build --group G26 --restrict A2 --json": (
+        2, "error: G26 has no flat of type A2"),
+    "build --group G26 --restrict A1^3 --json": (
+        2, "error: G26 has no flat of type A1^3"),
+    "build --group G26 --restrict A1A2 --json": (
+        2, "error: G26 has no flat of type A1A2"),
+    "build --group G26 --restrict A3 --json": (
+        2, "error: G26 has no flat of type A3"),
+    "build --group G26 --restrict G(3,3,3) --json": (
+        2, "error: G26 has no flat of type G(3,3,3)"),
+    "build --group G26 --restrict B3 --json": (
+        2, "error: G26 has no flat of type B3"),
+    "build --group G27 --restrict A1 --json": (
+        0, "81506b85b72db13db855b152264f7497619d4634c0fd9aa9c514810685b59605"),
+    "build --group G27 --restrict A1^2 --json": (
+        2, "error: G27 has no flat of type A1^2"),
+    "build --group G27 --restrict A2 --json": (
+        0, "a1b0141e3151a048416b822bf39843278b606b0dfe76446add3aeeb383126799"),
+    "build --group G27 --restrict A1^3 --json": (
+        2, "error: G27 has no flat of type A1^3"),
+    "build --group G27 --restrict A1A2 --json": (
+        2, "error: G27 has no flat of type A1A2"),
+    "build --group G27 --restrict A3 --json": (
+        2, "error: G27 has no flat of type A3"),
+    "build --group G27 --restrict G(3,3,3) --json": (
+        2, "error: G27 has no flat of type G(3,3,3)"),
+    "build --group G27 --restrict B3 --json": (
+        2, "error: G27 has no flat of type B3"),
+    "build --group G28 --restrict A1 --json": (
+        0, "9f63263c12ce53f1a19d082d29ba007bf5a8c8ff6056d2806a6c663ada62ba60"),
+    "build --group G28 --restrict A1^2 --json": (
+        0, "b8965d25863c2efca3c980cc47e879840dbc6f1a47dc45dc66fe103cb4b20ab5"),
+    "build --group G28 --restrict A2 --json": (
+        0, "03cd26a7a4ac1feec324cf8ef1e6129bedff51a04f877b8c0e7cbdddd8a6704d"),
+    "build --group G28 --restrict A1^3 --json": (
+        2, "error: G28 has no flat of type A1^3"),
+    "build --group G28 --restrict A1A2 --json": (
+        0, "2dc186f4dd36cf7371c0b84daa3a9dca2c6740fe517c6ff55547e086be7c74d8"),
+    "build --group G28 --restrict A3 --json": (
+        2, "error: G28 has no flat of type A3"),
+    "build --group G28 --restrict G(3,3,3) --json": (
+        2, "error: G28 has no flat of type G(3,3,3)"),
+    "build --group G28 --restrict B3 --json": (
+        0, "cd9321e70cfc0438cabf32ddfa5649c58207f4b28da1d0be4a97204892cd54ef"),
+    "build --group G29 --restrict A1 --json": (
+        0, "959a7289497ceb5767bc38c856c6e54c42f10aee07387ee37b5ad62975a8bee3"),
+    "build --group G29 --restrict A1^2 --json": (
+        0, "ad67d98b3da8bca13400fafc050ad669eb31835b4b935946ceedd4fd10c5ba08"),
+    "build --group G29 --restrict A2 --json": (
+        0, "56518805bf3e16c8ec9d18fe4938c3ed6a603ffa31443c8a64393ce2a007e42b"),
+    "build --group G29 --restrict A1^3 --json": (
+        2, "error: G29 has no flat of type A1^3"),
+    "build --group G29 --restrict A1A2 --json": (
+        0, "622827da9429fa6aa41303c7baef922afc5636f6ff6c79133332cceeafbbfe34"),
+    "build --group G29 --restrict A3 --json": (
+        0, "e17c329428e8e5d91c0bdf37bfab6900bb695bb2c62150169aada42842e5d700"),
+    "build --group G29 --restrict G(3,3,3) --json": (
+        2, "error: G29 has no flat of type G(3,3,3)"),
+    "build --group G29 --restrict B3 --json": (
+        0, "24d247d0af27324f81f4756dcf4dc72c879c4b475746f91f258d911bdfae8a0e"),
+    "build --group G30 --restrict A1 --json": (
+        0, "ce6e821c81a019e45a9eed5e458c5140a034100bf035dc1b13477fc39f6c8e61"),
+    "build --group G30 --restrict A1^2 --json": (
+        0, "45069eb2f7060afe789c6d968263797d58a7514f85f70ec8ae3795f77c2dbd3f"),
+    "build --group G30 --restrict A2 --json": (
+        0, "373179dc9da3648e3594d643a2b02151162781ba720122473702277d18475447"),
+    "build --group G30 --restrict A1^3 --json": (
+        2, "error: G30 has no flat of type A1^3"),
+    "build --group G30 --restrict A1A2 --json": (
+        0, "f89fa09822cf381da30c0baafe0862bb73c110ef44e7347bb33123658168690b"),
+    "build --group G30 --restrict A3 --json": (
+        0, "3e7a38955aaf27100aa59ddcbb8c10e2efdee41ac6ca6f0e4cabadcbc26fd495"),
+    "build --group G30 --restrict G(3,3,3) --json": (
+        2, "error: G30 has no flat of type G(3,3,3)"),
+    "build --group G30 --restrict B3 --json": (
+        2, "error: G30 has no flat of type B3"),
+    "build --group G31 --restrict A1 --json": (
+        0, "50fff7d4472bb2acc610889d35198767ed80bf781ac9cad90f8e0e2ac11fefce"),
+    "build --group G31 --restrict A1^2 --json": (
+        0, "1dba4ad1501943685b87b7e670b6b9b286f086f5af100b8801b56befcd88bc14"),
+    "build --group G31 --restrict A2 --json": (
+        0, "e9218bbc11a9cc7973d258df92a783efe202990c9233de3e0dfc6fba11fd11a6"),
+    "build --group G31 --restrict A1^3 --json": (
+        2, "error: G31 has no flat of type A1^3"),
+    "build --group G31 --restrict A1A2 --json": (
+        0, "839620fdfd0d236a917dab2162586958bdf43b86bdff5ad8bc3911228e2b0901"),
+    "build --group G31 --restrict A3 --json": (
+        0, "4161619aa1c03bbd002a8e87954aa62840f19cf1d64bc8c7c2cda678fd982e7a"),
+    "build --group G31 --restrict G(3,3,3) --json": (
+        2, "error: G31 has no flat of type G(3,3,3)"),
+    "build --group G31 --restrict B3 --json": (
+        2, "error: G31 has no flat of type B3"),
+    "build --group G32 --restrict A1 --json": (
+        0, "766b167950b99ab122fbd7b20f72c0f4df11ccd841609c13d61f8f94eb1db401"),
+    "build --group G32 --restrict A1^2 --json": (
+        0, "fbbb35de1ce212d0dc9f77e39ee5402b3be2e9878513f95c446737a22c676e55"),
+    "build --group G32 --restrict A2 --json": (
+        2, "error: G32 has no flat of type A2"),
+    "build --group G32 --restrict A1^3 --json": (
+        2, "error: G32 has no flat of type A1^3"),
+    "build --group G32 --restrict A1A2 --json": (
+        2, "error: G32 has no flat of type A1A2"),
+    "build --group G32 --restrict A3 --json": (
+        2, "error: G32 has no flat of type A3"),
+    "build --group G32 --restrict G(3,3,3) --json": (
+        2, "error: G32 has no flat of type G(3,3,3)"),
+    "build --group G32 --restrict B3 --json": (
+        2, "error: G32 has no flat of type B3"),
+    "build --group G33 --restrict A1 --json": (
+        0, "092063bf7ce7d4a44212648a7f34253f3e7d12bade5991213f15ee2eb9e2fed9"),
+    "build --group G33 --restrict A1^2 --json": (
+        0, "f5822078b75fcc507f10a3e1f1458075cc804fd6c158e057fbce174d19649afb"),
+    "build --group G33 --restrict A2 --json": (
+        0, "3c7c222a57ef810b1c8306d8fdcd4d44f42fe4563b584ef05110c7a5110aaeda"),
+    "build --group G33 --restrict A1^3 --json": (
+        0, "0433cca5e1a85b9c2aa516552e797a475ca3ac5c7727e088c541fbf2a5612658"),
+    "build --group G33 --restrict A1A2 --json": (
+        0, "8f1f8bffd03fe8f98da9378144c20d01c93960fca6415747cfc0d2d73ae97ef4"),
+    "build --group G33 --restrict A3 --json": (
+        0, "7708e8a0a21ba935a34868411781f3083a11ad9a2649a6ef94c947003ed36b35"),
+    "build --group G33 --restrict G(3,3,3) --json": (
+        0, "8a91a3834104940051b8e4f7ee6b9c17d2f635066a03ca155264ac3c6db1c9c9"),
+    "build --group G33 --restrict B3 --json": (
+        2, "error: G33 has no flat of type B3"),
+    "build --group G34 --restrict A1 --json": (
+        0, "622bde2b8f4b099f94af210073e53cf463592bf31b5796ba0c6e7fa6f2e47657"),
+    "build --group G34 --restrict A1^2 --json": (
+        0, "aa37abb9bbf81e3d1e015ced94c6c62dd35269a727f9cd9b530293d49b36cf70"),
+    "build --group G34 --restrict A2 --json": (
+        0, "12edcabba1376c1263579e93507856f815d010628327c00b01390c23bbfec270"),
+    "build --group G34 --restrict A1^3 --json": (
+        0, "53d2295a406ce33918a345e2a9cbe4f72d8212f5b30364cf42ace8928e8ab8d3"),
+    "build --group G34 --restrict A1A2 --json": (
+        0, "9f97f9a4cbc153622eccb069880d58481cde1e6b68981002e69f225229001b29"),
+    "build --group G34 --restrict A3 --json": (
+        0, "cb9b9613780722ed5a4db002eac25133fe0af6fc64448bed510b37b0d843ef2c"),
+    "build --group G34 --restrict G(3,3,3) --json": (
+        0, "a671387449ba7839feb7dce7c739d1fe085c899f519623b311ead2e2e5394dd4"),
+    "build --group G34 --restrict B3 --json": (
+        2, "error: G34 has no flat of type B3"),
+}
+
 ORBITS_GOLDEN = {
     "G29 1":
         "ea411b409ced636eb464878ba266f12287f870a9894bba7298e8e43254b3b253",
@@ -326,6 +532,19 @@ ORBITS_GOLDEN = {
         "68420a0cc9d3024f305021eb29c87f78eafb184a9b7c573a9bfbf2509e92a500",
     "G34 3":
         "2954c21c894e13b81e2aec65bb454f18b7d5fe24d4f87bf51f48aba6a17c3785",
+    # past codim 3, recorded once `flat_orbits` labelled every codim
+    "G29 4":
+        "74fceac2c63e9a87b8902d8d4f090204f004032d37a5e3677b53f0450869ed6a",
+    "G30 4":
+        "4f715553963d49cbf5cd238e710d582b5ded81bfc044c7000cb6e7fe9d68bc74",
+    "G31 4":
+        "4f715553963d49cbf5cd238e710d582b5ded81bfc044c7000cb6e7fe9d68bc74",
+    "G32 4":
+        "74fceac2c63e9a87b8902d8d4f090204f004032d37a5e3677b53f0450869ed6a",
+    "G33 4":
+        "f45ca08662f62ea2b624e01b8e5a850c96a6af5dcb3ecbc6759525857fa80a7e",
+    "G33 5":
+        "637510794c5030cfba291fd40767865ead02f37ade6b9795c9c652ee8d0b2b83",
 }
 
 
@@ -343,12 +562,29 @@ def catalog_outputs(capsys) -> dict:
     return got
 
 
+def restrict_outputs(capsys) -> dict:
+    """{argv: (exit code, sha256 of stdout or first line of stderr)} of
+    every group restricted to every tag."""
+    got = {}
+    for name in group_names():
+        for tag in _TYPE_TABLE:
+            argv = ["build", "--group", name, "--restrict", tag, "--json"]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            got[" ".join(argv)] = (code, hashlib.sha256(out.encode())
+                                   .hexdigest() if code == 0
+                                   else err.splitlines()[0])
+    return got
+
+
 def orbit_digests() -> dict:
     """{"G codim": sha256} of the flat orbits' tags, codimensions,
-    hyperplane counts, orbit sizes and representative rows."""
+    hyperplane counts, orbit sizes and representative rows, at every
+    codim up to the rank; G34 only up to codim 3, as its codims 4 and 5
+    take seconds."""
     got = {}
     for name in ("G29", "G30", "G31", "G32", "G33", "G34"):
-        for codim in (1, 2, 3):
+        for codim in range(1, 4 if name == "G34" else group(name).dim + 1):
             text = repr([(lab.tag, lab.codim, lab.count, lab.orbit_size,
                           [[str(c) for c in row]
                            for row in lab.representative.rows])
@@ -361,6 +597,12 @@ def test_catalog_builds_are_pinned(capsys):
     got = catalog_outputs(capsys)
     assert len(got) == 19
     assert got == CATALOG_GOLDEN
+
+
+def test_restrictions_by_every_tag_are_pinned(capsys):
+    got = restrict_outputs(capsys)
+    assert len(got) == 96
+    assert got == RESTRICT_GOLDEN
 
 
 # the paper's seven restrictions, its two refuted ones of rank 4, and
