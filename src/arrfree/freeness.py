@@ -195,30 +195,46 @@ class NotIF:
 _MISSING = object()
 
 
-def _lines_through(m: int, lines) -> list:
-    """through[i]: the lines through atom i, in the order of lines, which
-    numbers the atoms of the restriction to i (``_contract``).  _counts
-    gives each atom of mask the lines through it that keep another member
-    of mask, and -1 (asked for by no removal rule) to other atoms; _drop
-    updates them after removing i: j loses each line left with j alone."""
-    through = [[] for _ in range(m)]
+def _split(m: int, lines):
+    """(pairs, longer): pairs[i], the mask of i's partners on two-member
+    lines; longer[i], i's longer lines without i.  _counts gives each
+    atom of mask the lines through it that keep another member of mask,
+    and -1 (asked for by no removal rule) to other atoms; _drop updates
+    them after removing i: each partner of i left loses one, as does j
+    for each longer line left with j alone."""
+    pairs = [0] * m
+    longer = [[] for _ in range(m)]
     for line in lines:
-        for i in _bits(line):
-            through[i].append(line)
-    return through
+        if line.bit_count() == 2:
+            low = line & -line
+            pairs[low.bit_length() - 1] |= line ^ low
+            pairs[line.bit_length() - 1] |= low
+        else:
+            r = line
+            while r:
+                i = r.bit_length() - 1
+                r ^= 1 << i
+                longer[i].append(line ^ 1 << i)
+    return pairs, longer
 
 
-def _counts(mask, through) -> list:
-    return [sum(1 for line in t if line & mask & ~(1 << i))
-            if mask >> i & 1 else -1 for i, t in enumerate(through)]
+def _counts(mask, split) -> list:
+    return [(p & mask).bit_count() + sum(1 for line in ls if line & mask)
+            if mask >> i & 1 else -1 for i, (p, ls) in enumerate(zip(*split))]
 
 
-def _drop(counts, i, left, through) -> list:
+def _drop(counts, i, left, split) -> list:
+    pairs, longer = split
     child = counts.copy()
     child[i] = -1
-    for line in through[i]:
+    r = pairs[i] & left
+    while r:
+        j = r.bit_length() - 1
+        child[j] -= 1
+        r ^= 1 << j
+    for line in longer[i]:
         r = line & left
-        if r and not r & (r - 1):
+        if r.bit_count() == 1:
             child[r.bit_length() - 1] -= 1
     return child
 
@@ -252,10 +268,11 @@ class _ChainSearch:
     member of the mask; a node's counts are made only on a memo miss,
     by _counts at a root or by _drop from parent, its parent's (counts,
     i).  In dimension 3 that restriction is counts[i] lines in a plane and
-    is read off its count; above, it gets a search of its own, and exps
-    memoises a mask's roots for the restriction searches."""
+    is read off its count; above, it gets a search of its own, kept with
+    the lines through i in order, which number its atoms (_contract), and
+    exps memoises a mask's roots for the restriction searches."""
 
-    __slots__ = ("levels", "dim", "memo", "exps", "through", "restrictions")
+    __slots__ = ("levels", "dim", "memo", "exps", "split", "restrictions")
 
     def __init__(self, levels, dim):
         self.levels = levels
@@ -263,15 +280,15 @@ class _ChainSearch:
         self.memo = {}
         self.exps = {}
         # the center, the last flat, holds every atom
-        self.through = _lines_through(levels[-1][0].bit_length(),
-                                      levels[2] if len(levels) > 2 else ())
+        self.split = _split(levels[-1][0].bit_length(),
+                            levels[2] if len(levels) > 2 else ())
         self.restrictions = {}
 
     def decide(self, mask, cand, parent=None):
         hit = self.memo.get(mask, _MISSING)
         if hit is _MISSING:
-            counts = (_counts(mask, self.through) if parent is None
-                      else _drop(*parent, mask, self.through))
+            counts = (_counts(mask, self.split) if parent is None
+                      else _drop(*parent, mask, self.split))
             hit = self.memo[mask] = self._search(mask, cand, counts)
         return hit
 
@@ -281,16 +298,20 @@ class _ChainSearch:
             return _low_rank_chain(self.dim, _bits(mask))
         moves = _removal_moves(cand)
         for _, i in sorted((c, i) for i, c in enumerate(counts) if c in moves):
-            left = mask & ~(1 << i)
+            bit = 1 << i
+            left = mask & ~bit
             if self.dim == 3:
                 restr, rexp = None, _plane_exps(counts[i])
             else:
-                rmask = sum(1 << j for j, line in enumerate(self.through[i])
+                hit = self.restrictions.get(i)
+                if hit is None:
+                    hit = self.restrictions[i] = (
+                        [line for line in self.levels[2] if line & bit],
+                        _ChainSearch(_contract(self.levels, bit, 1),
+                                     self.dim - 1))
+                through, restr = hit
+                rmask = sum(1 << j for j, line in enumerate(through)
                             if line & left)
-                restr = self.restrictions.get(i)
-                if restr is None:
-                    restr = self.restrictions[i] = _ChainSearch(
-                        _contract(self.levels, 1 << i, 1), self.dim - 1)
                 rexp = restr.exps.get(rmask, _MISSING)
                 if rexp is _MISSING:
                     rexp = restr.exps[rmask] = _sub_exponents(
@@ -310,7 +331,8 @@ class _ChainSearch:
 
 
 def _check_rank(arr: Arrangement, force: bool) -> None:
-    if arr.rank() > 4 and not force:
+    # rank <= dim, so only dimension 5 and up is ranked, by exact rref
+    if arr.dim > 4 and not force and arr.rank() > 4:
         raise RankLimit(
             f"rank {arr.rank()} decision is not guaranteed tractable;"
             " pass force=True to run it anyway")
@@ -684,40 +706,43 @@ def necessary_condition_counts(arr: Arrangement, exponents=None):
         raise ShapeError(
             f"exponents {exps} are not a nonnegative splitting of the"
             f" cardinality {len(arr)}")
-    m = len(arr)
-    through = _lines_through(m, arr.line_masks())
-    moves: dict = {}
-    # a state is keyed by the mask of its remaining hyperplanes and holds
-    # its restriction counts (_counts, then _drop) and the multisets
-    # that reach it
-    states = {(1 << m) - 1: (_counts((1 << m) - 1, through), {exps})}
+    full = (1 << len(arr)) - 1
+    split = _split(len(arr), arr.line_masks())
+    # a state, the mask of its remaining hyperplanes, has its restriction
+    # counts (_counts, then _drop) and the frozenset of multisets reaching it
+    counts, msets = {full: _counts(full, split)}, {full: frozenset({exps})}
+    # no count exceeds a hyperplane's first one, its number of lines
+    cap = max(counts[full], default=0)
     levels = []
-    n = 0
-    while states:
-        n += 1
-        nxt: dict = {}
-        for remaining, (counts, msets) in states.items():
-            by_rc: dict = {}
-            for ms in msets:
-                table = moves.get(ms)
-                if table is None:
-                    table = moves[ms] = _removal_moves(ms)
-                for rc, new in table.items():
-                    by_rc.setdefault(rc, []).append(new)
+    while counts:
+        # tables: per set of multisets, which most states of a level share,
+        # {restriction count: the multisets that removal leads to}
+        nxt_counts, nxt_msets, tables = {}, {}, {}
+        for remaining, cs in counts.items():
+            key = msets[remaining]
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = {}
+                for ms in key:
+                    for rc, new in _removal_moves(ms).items():
+                        if rc <= cap:
+                            table[rc] = table.get(rc, frozenset()) | {new}
             # most hyperplanes fail the test, so look up the ones that
             # pass by their count instead of walking every remaining one
-            for rc, news in by_rc.items():
+            for rc, news in table.items():
                 i = -1
-                for _ in range(counts.count(rc)):
-                    i = counts.index(rc, i + 1)
+                for _ in range(cs.count(rc)):
+                    i = cs.index(rc, i + 1)
                     left = remaining ^ (1 << i)
-                    if left in nxt:
-                        nxt[left][1].update(news)
-                    else:
-                        nxt[left] = _drop(counts, i, left, through), set(news)
-        union = sorted({ms for _, msets in nxt.values() for ms in msets})
-        levels.append(NecLevel(n, len(nxt), tuple(union)))
-        states = nxt
+                    have = nxt_msets.get(left)
+                    if have is None:
+                        nxt_counts[left] = _drop(cs, i, left, split)
+                        nxt_msets[left] = news
+                    elif have is not news and not news <= have:
+                        nxt_msets[left] = have | news
+        union = sorted(set().union(*set(nxt_msets.values())))
+        levels.append(NecLevel(len(levels) + 1, len(nxt_counts), tuple(union)))
+        counts, msets = nxt_counts, nxt_msets
     return NecCondReport(exps, levels)
 
 

@@ -248,6 +248,28 @@ def test_rank_limit():
     assert report.ok and report.verdicts[0] is True
 
 
+def test_rank_guard_ranks_only_above_dimension_four(monkeypatch):
+    # rank <= dim, so an input of dimension <= 4 is never ranked by exact
+    # elimination; dimension 5 is, and is refused only above rank 4
+    def no_rank(self):
+        raise AssertionError("exact rank computed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Arrangement, "rank", no_rank)
+        for arr in (intermediate(3, 3, 1), intermediate(2, 4, 1), boolean(4),
+                    restriction_by_type(group("G33"), "A1")):
+            is_inductively_free(arr)
+            hereditarily_inductively_free(arr)
+    with pytest.raises(RankLimit) as exc:
+        is_inductively_free(boolean(5))
+    assert str(exc.value) == ("rank 5 decision is not guaranteed tractable;"
+                              " pass force=True to run it anyway")
+    flat = Arrangement(5, [[int(i == j) for j in range(5)] for i in range(4)])
+    cert = is_inductively_free(flat)
+    assert cert and cert.exponents == (0, 1, 1, 1, 1)
+    assert hereditarily_inductively_free(flat).ok
+
+
 def _canonical_table(r):
     rep = certify_chain(6, r, canonical_induction_order(r, 6))
     return emit_induction_table(intermediate(r, 6, 4), rep.certificate)
@@ -877,7 +899,9 @@ def _random_splitting(rng, total, parts):
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
-def test_census_matches_reference_scan():
+def _census_cases():
+    """(arrangement, exponents) pairs on which the census is compared with
+    _reference_census."""
     cases = [(boolean(4), None), (intermediate(2, 4, 1), None)]
     cases += [(intermediate(3, 3, k), None) for k in range(4)]
     cases.append((restriction_by_type(group("G33"), "A1"), (1, 7, 9, 11)))
@@ -894,11 +918,14 @@ def test_census_matches_reference_scan():
             # a splitting of |A| that need not be the true exponents
             exps = _random_splitting(rng, len(arr), dim)
         cases.append((arr, exps))
+    return [(arr, arr.candidate_exponents() if exps is None else exps)
+            for arr, exps in cases]
+
+
+def test_census_matches_reference_scan():
     widest = 1
     survivors = 0
-    for arr, exps in cases:
-        if exps is None:
-            exps = arr.candidate_exponents()
+    for arr, exps in _census_cases():
         got = necessary_condition_counts(arr, exponents=exps)
         want, w = _reference_census(arr, exps)
         assert got.payload() == want.payload(), (arr, exps)
@@ -1219,17 +1246,17 @@ def test_carried_counts_match_a_recount(monkeypatch):
 def test_broken_count_updates_are_caught(monkeypatch):
     drop = freeness._drop
 
-    def no_decrement(counts, i, left, through):
+    def no_decrement(counts, i, left, split):
         child = counts.copy()
         child[i] = -1
         return child
 
-    def removed_atom_kept(counts, i, left, through):
-        child = drop(counts, i, left, through)
+    def removed_atom_kept(counts, i, left, split):
+        child = drop(counts, i, left, split)
         child[i] = counts[i]
         return child
 
-    def parent_counts(counts, i, left, through):
+    def parent_counts(counts, i, left, split):
         return counts
 
     # the census shares the update, so its levels go wrong as well
@@ -1243,6 +1270,63 @@ def test_broken_count_updates_are_caught(monkeypatch):
             assert necessary_condition_counts(arr).payload() != want
 
 
+def test_split_rebuilds_the_lines_through_each_atom():
+    # pairs[i] and longer[i] hold every line through i, less i, once
+    for arr in _oracle_inputs():
+        levels = arr.intersection_lattice().levels
+        lines = levels[2] if len(levels) > 2 else ()
+        pairs, longer = freeness._split(len(arr), lines)
+        for i in range(len(arr)):
+            through = [line for line in lines if line >> i & 1]
+            assert all(line.bit_count() >= 2 for line in longer[i])
+            rebuilt = [1 << j for j in _bits(pairs[i])] + longer[i]
+            assert sorted(rebuilt) == sorted(line ^ 1 << i
+                                             for line in through)
+
+
+def test_broken_split_kernel_is_caught(monkeypatch):
+    # each variant of the two-member-line kernel, or of the census's
+    # tables per set of multisets, breaks the carried counts of the
+    # search or the census's levels
+    split, drop = freeness._split, freeness._drop
+    census = freeness.necessary_condition_counts
+    kernel = {
+        "_split": [
+            # a partner mask that keeps i itself
+            _mutant(freeness, split, ("] |= line ^ low", "] |= line")),
+            # a three-member line folded into the partner mask
+            _mutant(freeness, split,
+                    ("line.bit_count() == 2", "line.bit_count() <= 3"))],
+        # longer lines skipped
+        "_drop": [_mutant(freeness, drop,
+                          ("for line in longer[i]:", "for line in ():"))],
+    }
+    cases = _census_cases()
+    wants = [_reference_census(arr, exps)[0].payload()
+             for arr, exps in cases]
+
+    def census_differs(count):
+        return any(count(arr, exponents=exps).payload() != want
+                   for (arr, exps), want in zip(cases, wants))
+
+    for name, variants in kernel.items():
+        for variant in variants:
+            with monkeypatch.context() as mp:
+                mp.setattr(freeness, name, variant)
+                with pytest.raises(AssertionError, match="carried counts"):
+                    _check_carried_counts(mp)
+                assert census_differs(freeness.necessary_condition_counts)
+    for edits in (
+            # a removal table keyed by only one multiset of the state's set
+            [("tables.get(key)", "tables.get(max(key))"),
+             ("tables[key] = {}", "tables[max(key)] = {}")],
+            # a merge that drops the incoming multisets
+            [("= have | news", "= have")],
+            # a table that also drops the counts a hyperplane has at most
+            [("if rc <= cap:", "if rc < cap:")]):
+        assert census_differs(_mutant(freeness, census, *edits))
+
+
 # the paper's refuted restrictions of rank 4 that the search decides, and
 # how many subarrangements it explores on each
 _REFUTED = {("G33", "A1"): 517, ("G34", "A1^2"): 2388}
@@ -1254,10 +1338,10 @@ def test_counts_are_made_only_for_expanded_nodes(monkeypatch):
     drop = freeness._drop
     seen = set()
 
-    def once(counts, i, left, through):
-        assert (id(through), left) not in seen, f"mask {left:#x} recounted"
-        seen.add((id(through), left))
-        return drop(counts, i, left, through)
+    def once(counts, i, left, split):
+        assert (id(split), left) not in seen, f"mask {left:#x} recounted"
+        seen.add((id(split), left))
+        return drop(counts, i, left, split)
 
     monkeypatch.setattr(freeness, "_drop", once)
     for tag, explored in (("A1", 517), ("A1^2", 2388)):
@@ -1315,7 +1399,8 @@ def test_plane_exponents_match_the_slow_path(monkeypatch):
                     assert freeness._plane_exps(0) == \
                         _sub_exponents(contracted[key], 0, 2)
                 left = mask & ~(1 << i)
-                rmask = sum(1 << j for j, line in enumerate(self.through[i])
+                through = [L for L in self.levels[2] if L >> i & 1]
+                rmask = sum(1 << j for j, line in enumerate(through)
                             if line & left)
                 assert freeness._plane_exps(counts[i]) == \
                     _sub_exponents(contracted[key], rmask, 2), \

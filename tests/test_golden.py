@@ -27,6 +27,10 @@ from its own scan of the orbit levels.  The orbit digests past codim 3
 were recorded once `flat_orbits` labelled every codim, after their orbit
 sizes were checked to sum to the flats of their rank and each
 representative to have codim rows.
+
+The census pins (`count-nec --json`) were recorded before a removal
+updated a hyperplane's partners on two-member lines as one mask and the
+census kept one removal table per set of multisets.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from arrfree.arrangement import Arrangement
 from arrfree.catalog import (_TYPE_TABLE, canonical_induction_order,
-                             flat_orbits, group, group_names, intermediate)
+                             flat_orbits, group, group_names, intermediate,
+                             restriction_by_type)
 from arrfree.cli import main
 from arrfree.freeness import certify_chain, emit_induction_table
 
@@ -713,3 +719,43 @@ def test_searches_are_pinned(tmp_path, monkeypatch, capsys):
 
 def test_flat_orbits_are_pinned():
     assert orbit_digests() == ORBITS_GOLDEN
+
+
+# file name -> (its arrangement, the --exponents given or None); the
+# wrong 1,2,4,6 of intermediate(2, 4, 1) (its own are 1,3,4,5) lets
+# states hold two multisets
+CENSUS_INPUTS = {
+    "g33_a1.arr": (lambda: restriction_by_type(group("G33"), "A1"),
+                   "1,7,9,11"),
+    "g34_a1sq.arr": (lambda: restriction_by_type(group("G34"), "A1^2"),
+                     "1,13,19,23"),
+    "bool_4.arr": (lambda: Arrangement(4, [[int(i == j) for j in range(4)]
+                                              for i in range(4)]), None),
+    "int_2_4_1.arr": (lambda: intermediate(2, 4, 1), "1,2,4,6"),
+}
+
+CENSUS_GOLDEN = {
+    "count-nec g33_a1.arr --exponents 1,7,9,11 --json": (
+        0, "2ec9340f950312e2aeb7fc935f6791a39c0fd678a3a76d408177210212ee5f98"),
+    "count-nec g34_a1sq.arr --exponents 1,13,19,23 --json": (
+        0, "4da7d82160a23ede5de3f1be977577db46106884a360ee8f90cadbc77d9f9f7a"),
+    "count-nec bool_4.arr --json": (
+        0, "5fbc5b9eb5eb42e0e349175cda9f8a171289a6036534df15970b1f8db8c0354d"),
+    "count-nec int_2_4_1.arr --exponents 1,2,4,6 --json": (
+        0, "7d8107c0b36efe1412bb49bcea36eddd43e97f422d1f134b59ead3e940940254"),
+}
+
+
+def test_censuses_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, (build, exps) in CENSUS_INPUTS.items():
+        (tmp_path / name).write_text(build().to_text())
+        argv = ["count-nec", name]
+        argv += ["--exponents", exps] if exps else []
+        argv.append("--json")
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        got[" ".join(argv)] = (code, hashlib.sha256(stdout.encode())
+                               .hexdigest())
+    assert got == CENSUS_GOLDEN
