@@ -846,16 +846,17 @@ def _sub_exponents(levels, mask: int, dim: int):
     return _integer_roots(poly, mask.bit_count())
 
 
-def _contract(levels, x: int, k: int) -> list:
+def _contract(levels, x: int, k: int) -> tuple[list, list]:
     """Flats of the restriction to the rank-k flat x by rank: the flats
-    above x, as sets of hyperplanes j, the j-th rank-(k+1) flat above x."""
+    above x, as sets of hyperplanes j, the j-th rank-(k+1) flat above x;
+    and those rank-(k+1) flats in order, its atoms."""
     above = levels[k + 1] if len(levels) > k + 1 else ()
     atoms = [y for y in above if y & x == x]
     out = []
     for level in levels[k:]:
         out.append([sum(1 << j for j, y in enumerate(atoms) if y & z == y)
                     for z in level if z & x == x])
-    return out
+    return out, atoms
 
 
 def _divide_out(poly, r):

@@ -14,17 +14,18 @@ covector is computed once.  The keys stand when a norm bound over the
 mirrors and their images shows that covectors differing exactly differ
 mod P; otherwise the closure runs again on exact keys.
 
-A group's flats are built one orbit at a time (`_orbit_levels`): only
-the least flat of each orbit of rank k - 1 is keyed, and rank k is the
-closure of its covers under the generators' permutations of the
-mirrors, read as tables of bits, which also sorts it into orbits.
-Wrong permutations are refused by two checks: an orbit's least mask
-must be a flat, and a rank may not outgrow the bound that its cover
-pairs give.
+A group's flats are built one orbit at a time (`_orbit_levels`), on
+one key table per group: only the least flat of each orbit of rank
+k - 1 is keyed, and rank k is the closure of its covers under the
+generators' permutations of the mirrors, packed into one int per
+mirror.  Wrong permutations are refused by two checks: an orbit's least
+mask must be a flat, and a rank may not outgrow the bound that its
+cover pairs give.
 
 Restrictions of a reflection arrangement are addressed by a type tag
 naming the localization at a flat by the nonzero roots of its
-characteristic polynomial, which also fix its rank and its size.
+characteristic polynomial, which also fix its rank and its size; it
+reduces one mirror per restricted hyperplane.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class GroupPresentation:
     """Named generator matrices for a finite reflection group."""
 
     __slots__ = ("name", "dim", "order", "expected", "generators",
-                 "_arrangement", "_permutations", "_orbits")
+                 "_arrangement", "_permutations", "_keys", "_orbits")
 
     def __init__(self, name: str, dim: int, order: int, expected: int,
                  generators):
@@ -155,6 +156,7 @@ class GroupPresentation:
         self.generators = tuple(gens)
         self._arrangement = None
         self._permutations = None
+        self._keys = None
         self._orbits = None
 
     def __repr__(self):
@@ -389,18 +391,29 @@ def reflection_arrangement(g) -> Arrangement:
 
 # -- flats one orbit at a time --------------------------------------------------
 
+def _group_keys(g):
+    """`_key_vectors` over g's mirrors at s = dim, which covers keys over
+    flats of every rank; kept in g._keys."""
+    if g._keys is None:
+        arr = reflection_arrangement(g)
+        g._keys = _key_vectors([h.coeffs for h in arr.hyperplanes],
+                               arr.order, arr.dim)
+    return g._keys
+
+
 def _orbit_levels(g, codim: int):
     """g's flat masks by rank up to codim, and each rank's orbits under
     the group as sorted (least mask, size) pairs; kept in g._orbits, from
     which a deeper request resumes.
 
     Only each orbit's least flat X of rank k - 1 is keyed: its covers are
-    X | c for the classes c of `_keys_over`, the keys chosen once per
-    call as in `_build_levels`, and rank k is their closure under
-    g._permutations, found breadth first with its orbits.  A generator's
-    table holds bit[a] = 1 << perm[a], so an image is the sum of the table
-    over the flat's atoms, read once per flat; an image found by an
-    involutive generator skips it, as its image there is the parent.
+    X | c for the classes c of `_keys_over` (`_group_keys`), and rank k
+    is their closure under g._permutations, found breadth first with its
+    orbits, one set per layer.  packed[a] holds 1 << perm[a] in an m-bit
+    field per generator, m the number of mirrors, so the sum of packed
+    over a flat's atoms holds its image under every generator, each read
+    with a shift and `& full`; distinct atoms go to distinct bits, so no
+    field carries into the next.
 
     This is sound: the permutations are read off the mirror closure's
     exact key lookups, so each is a generator's action on the mirrors, a
@@ -412,17 +425,19 @@ def _orbit_levels(g, codim: int):
     levels: (a) a hyperplane outside X whose residue over X is zero lies
     in X's span, so X is no flat; (b) every rank-k flat covers at least k
     flats, so rank k holds at most sum_O |O| c(O) / k flats, c(O) the
-    number of covers of orbit O's least flat."""
+    number of covers of orbit O's least flat; checked once per layer, it
+    stops a runaway within (generators x bound) flats."""
     arr = reflection_arrangement(g)
     levels, orbits = g._orbits or (((0,),), (((0, 1),),))
-    full = (1 << len(arr)) - 1
+    m = len(arr)
+    full = (1 << m) - 1
     if len(levels) > codim or levels[-1] == (full,):
         return levels[:codim + 1], orbits[:codim + 1]
-    vecs, mod = _key_vectors([h.coeffs for h in arr.hyperplanes], arr.order,
-                             min(codim + 1, arr.dim))
-    tables = [([1 << p for p in perm],
-               all(perm[p] == a for a, p in enumerate(perm)))
-              for perm in g._permutations]
+    vecs, mod = _group_keys(g)
+    perms = g._permutations
+    shifts = range(0, len(perms) * m, m)
+    packed = [sum(1 << perm[a] + s for perm, s in zip(perms, shifts))
+              for a in range(m)]
     levels, orbits = list(levels), list(orbits)
     while len(levels) <= codim and levels[-1] != (full,):
         k = len(levels)
@@ -443,33 +458,27 @@ def _orbit_levels(g, codim: int):
         for start in covers:
             if start in seen:
                 continue
-            seen.add(start)
-            least, size, frontier = start, 1, [(start, None)]
+            orbit, frontier = {start}, (start,)
             while frontier:
-                fresh = []
-                for mask, parent in frontier:
-                    atoms = []
+                totals = []
+                for mask in frontier:
+                    total = 0
                     while mask:
                         low = mask & -mask
-                        atoms.append(low.bit_length() - 1)
+                        total += packed[low.bit_length() - 1]
                         mask ^= low
-                    for gen, (bit, involutive) in enumerate(tables):
-                        if gen == parent:
-                            continue
-                        img = sum(map(bit.__getitem__, atoms))
-                        if img not in seen:
-                            seen.add(img)
-                            fresh.append((img, gen if involutive else None))
-                            if img < least:
-                                least = img
-                    if len(seen) > bound:
-                        raise CatalogDataError(
-                            f"{g.name}: the orbits of rank {k} exceed the"
-                            f" {bound} flats their covers allow; generator"
-                            f" data is inconsistent")
-                size += len(fresh)
+                    totals.append(total)
+                fresh = {t >> s & full for t in totals for s in shifts}
+                fresh -= orbit
+                orbit |= fresh
                 frontier = fresh
-            reps.append((least, size))
+                if len(seen) + len(orbit) > bound:
+                    raise CatalogDataError(
+                        f"{g.name}: the orbits of rank {k} exceed the"
+                        f" {bound} flats their covers allow; generator"
+                        f" data is inconsistent")
+            seen |= orbit
+            reps.append((min(orbit), len(orbit)))
         levels.append(tuple(sorted(seen)))
         orbits.append(tuple(sorted(reps)))
     g._orbits = tuple(levels), tuple(orbits)
@@ -529,8 +538,9 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     in the order of their representatives (`_orbit_levels`); none when
     codim exceeds the rank.  A label's tag names its representative's
     localization, whose flats are those below it: the flats of lower
-    rank and the representative itself.  Its flat is the rref of its
-    atoms, which span rank codim."""
+    rank and the representative itself, read only at a codim that the
+    type table names.  Its flat is the rref of its atoms, which span
+    rank codim."""
     if codim < 0:
         raise InvalidParameter(f"codim must be nonnegative, got {codim}")
     if isinstance(g, str):
@@ -538,13 +548,14 @@ def flat_orbits(g, codim: int) -> list[FlatOrbitLabel]:
     arr = reflection_arrangement(g)
     covs = [h.coeffs for h in arr.hyperplanes]
     levels, orbits = _orbit_levels(g, codim)
+    named = {r: t for t, r in _TYPE_TABLE.items() if len(r) == codim}
     labels = []
     for rep, size in orbits[codim] if len(orbits) > codim else ():
         count = rep.bit_count()
-        roots = _localization_roots((*levels[:codim], (rep,)), rep, arr.dim)
-        tag = "empty" if not codim else next(
-            (t for t, r in _TYPE_TABLE.items() if r == roots),
-            f"unclassified(codim={codim},count={count})")
+        roots = _localization_roots((*levels[:codim], (rep,)), rep,
+                                    arr.dim) if named else None
+        tag = "empty" if not codim else named.get(
+            roots, f"unclassified(codim={codim},count={count})")
         flat = Flat(*_rref((covs[j] for j in _bits(rep)), codim), arr.dim,
                     arr.order)
         labels.append(FlatOrbitLabel(tag, flat, codim, count, size))
@@ -556,21 +567,40 @@ def restriction_by_type(g, tag: str) -> Arrangement:
     whose localization matches the tag: the first of `flat_orbits`'
     labels with that tag, as the type is constant on an orbit.  Raises
     `AmbiguousType` when orbits of that type have restrictions whose
-    lattices differ, so the tag names no one restriction."""
+    lattices differ, so the tag names no one restriction.
+
+    A mirror's restriction to X is its class of `_keys_over` X, so X is
+    restricted on the lowest mirror of each class and X's atoms, which
+    `restricted` checks X against.  On an exact key table (G27) a key
+    costs an exact reduction itself, so the whole arrangement is."""
     if isinstance(g, str):
         g = group(g)
     t = normalize_type(tag)
-    reps = [lab.representative for lab in flat_orbits(g, len(_TYPE_TABLE[t]))
-            if lab.tag == t]
-    if not reps:
-        raise NoSuchType(f"{g.name} has no flat of type {t}")
+    codim = len(_TYPE_TABLE[t])
+    labels = flat_orbits(g, codim)
     arr = reflection_arrangement(g)
-    first, *others = (arr.restricted(flat) for flat in reps)
+    _, orbits = _orbit_levels(g, codim)
+    vecs, mod = _group_keys(g)
+    full = (1 << len(arr)) - 1
+    restrictions = []
+    for lab, (rep, _) in zip(labels, orbits[-1]):
+        if lab.tag == t:
+            sub = arr
+            if mod:
+                classes = _keys_over(vecs, True, rep, codim, full & ~rep)
+                lowest = sum(c & -c for c in classes.values())
+                sub = Arrangement(arr.dim, [arr.hyperplanes[j]
+                                            for j in _bits(rep | lowest)],
+                                  arr.order)
+            restrictions.append(sub.restricted(lab.representative))
+    if not restrictions:
+        raise NoSuchType(f"{g.name} has no flat of type {t}")
+    first, *others = restrictions
     for other in others:
         if not lattice_isomorphic(first, other):
             raise AmbiguousType(
-                f"{g.name} has {len(reps)} orbits of flats of type {t}"
-                f" whose restrictions differ")
+                f"{g.name} has {len(restrictions)} orbits of flats of type"
+                f" {t} whose restrictions differ")
     return first
 
 

@@ -305,10 +305,9 @@ class _ChainSearch:
             else:
                 hit = self.restrictions.get(i)
                 if hit is None:
+                    contracted, through = _contract(self.levels, bit, 1)
                     hit = self.restrictions[i] = (
-                        [line for line in self.levels[2] if line & bit],
-                        _ChainSearch(_contract(self.levels, bit, 1),
-                                     self.dim - 1))
+                        through, _ChainSearch(contracted, self.dim - 1))
                 through, restr = hit
                 rmask = sum(1 << j for j, line in enumerate(through)
                             if line & left)
@@ -880,7 +879,7 @@ def hereditarily_inductively_free(arr: Arrangement,
                 verdicts[mask] = True
                 continue
             # the center, the last flat, holds every hyperplane
-            contracted = _contract(levels, mask, rk)
+            contracted, _ = _contract(levels, mask, rk)
             search = _ChainSearch(contracted, rest_dim)
             center = contracted[-1][0]
             cand = _sub_exponents(contracted, center, rest_dim)

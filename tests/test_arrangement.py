@@ -1025,7 +1025,7 @@ def charpoly_cases():
     levels, dim = lattices["G33"]
     for k, level in enumerate(levels):
         for x in level[::max(1, len(level) // 3)]:
-            cases.append((_contract(levels, x, k), dim - k))
+            cases.append((_contract(levels, x, k)[0], dim - k))
     return cases
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import random
 import time
@@ -37,7 +38,7 @@ from arrfree.catalog import (
     reflection_arrangement,
     restriction_by_type,
 )
-from arrfree.cyclotomic import MAX_DIM, root_of_unity
+from arrfree.cyclotomic import MAX_DIM, ArrfreeError, root_of_unity
 
 G333_TEXT = """
 # monomial test presentation
@@ -570,20 +571,23 @@ def _reference_orbits(level, perms) -> tuple:
 
 
 def _check_orbit_levels(groups):
+    """The orbit levels up to codim 3 against the plain builder and the
+    reference orbits; through the module, so that a mutant stands in."""
     for name, g in groups.items():
         arr = reflection_arrangement(g)
         ref = _build_levels(arr, 3)
         for codim in (1, 2, 3):
             g._orbits = None
-            levels, orbits = _orbit_levels(g, codim)
+            levels, orbits = catalog._orbit_levels(g, codim)
             assert levels == ref[:codim + 1], (name, codim)
             assert orbits == tuple(_reference_orbits(lv, g._permutations)
                                    for lv in levels), (name, codim)
         # a deeper request resumes from the slot
         fresh = g._orbits
         g._orbits = None
-        _orbit_levels(g, 2)
-        assert _orbit_levels(g, 3) == (fresh[0][:4], fresh[1][:4]), name
+        catalog._orbit_levels(g, 2)
+        assert catalog._orbit_levels(g, 3) == (fresh[0][:4], fresh[1][:4]), \
+            name
         assert g._orbits == fresh, name
 
 
@@ -621,10 +625,29 @@ def test_orbit_levels_start_from_the_atoms(monkeypatch):
     assert all(pivots for _, pivots in keyed)
 
 
-def test_g34_orbit_levels_down_to_the_centre():
+def _label_digest(labels) -> str:
+    """sha256 of the labels' tags, codims, counts, orbit sizes and
+    representative rows, as `test_golden.orbit_digests` takes it."""
+    text = repr([(lab.tag, lab.codim, lab.count, lab.orbit_size,
+                  [[str(c) for c in row] for row in lab.representative.rows])
+                 for lab in labels])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# G34's labels past codim 3, recorded when the centre's label still read
+# the ambient characteristic polynomial (about 36 s)
+G34_DEEP_LABELS = {
+    4: "1e8b1a0a2b9c372173c2016298f147f4fb57f77975fa2e702841998e303177c4",
+    5: "bbe2a9bca9fb97c6e5279d3ccdb4842da1bf96461a33ffe370df95683be83f6f",
+    6: "d5daab5c285d3025896293b0c4eab8acf9af3dd54c7e79e1f2d841d166a9b681",
+}
+
+
+def test_g34_orbit_levels_down_to_the_centre(monkeypatch):
     # recorded with the per-orbit BFS that peeled each image bit by bit;
     # its name puts it under CI's hash-seed runs of "-k orbit"
-    levels, orbits = _orbit_levels(_fresh_groups()["G34"], 6)
+    g = _fresh_groups()["G34"]
+    levels, orbits = _orbit_levels(g, 6)
     assert tuple(map(len, levels)) == \
         (1, 126, 4515, 53480, 180411, 99960, 1)
     sizes = [sorted(size for _, size in rank) for rank in orbits]
@@ -635,6 +658,11 @@ def test_g34_orbit_levels_down_to_the_centre():
         [126, 672, 3402, 5040, 9072, 9072, 27216, 45360],
     ]
     assert list(map(sum, sizes)) == list(map(len, levels))
+    # the type table names no codim above 3, so no label there reads a
+    # localization, the centre's whole lattice least of all
+    monkeypatch.setattr(catalog, "_localization_roots", None)
+    for codim, digest in G34_DEEP_LABELS.items():
+        assert _label_digest(flat_orbits(g, codim)) == digest, codim
 
 
 def _swap(g, rng):
@@ -757,7 +785,11 @@ def _flat_of(arr, mask) -> Flat:
 
 def _picked_flats(g, tag, monkeypatch) -> list:
     """The flats that `restriction_by_type` restricts to, all taken to
-    have isomorphic restrictions; none when it finds no flat."""
+    have isomorphic restrictions; none when it finds no flat.  The
+    restriction stands in as the subarrangement it was called on, which
+    differs between orbits, so a mutant run under its own copy of the
+    module's names may still raise `AmbiguousType` after the flats are
+    picked."""
     picked = []
     with monkeypatch.context() as mp:
         mp.setattr(Arrangement, "restricted",
@@ -765,7 +797,7 @@ def _picked_flats(g, tag, monkeypatch) -> list:
         mp.setattr(catalog, "lattice_isomorphic", lambda a, b: True)
         try:
             catalog.restriction_by_type(g, tag)
-        except NoSuchType:
+        except (NoSuchType, AmbiguousType):
             pass
     return picked
 
@@ -816,9 +848,11 @@ def test_restriction_labels_match_the_orbit_scan(monkeypatch):
                               monkeypatch)
 
 
-def test_flat_orbits_past_codim_3_cover_their_level():
+def test_flat_orbits_past_codim_3_cover_their_level(monkeypatch):
     # every orbit of every codim up to the rank, G34 aside: the sizes sum
-    # to the flats of that rank and each representative has codim rows
+    # to the flats of that rank and each representative has codim rows;
+    # no type has codim 4 or more, so no localization is read there
+    monkeypatch.setattr(catalog, "_localization_roots", None)
     for name in group_names():
         g = group(name)
         if name == "G34":
@@ -830,3 +864,140 @@ def test_flat_orbits_past_codim_3_cover_their_level():
                 len(levels[codim]), (name, codim)
             assert all(lab.representative.rank == codim for lab in labels)
         assert flat_orbits(g, g.dim + 1) == []
+
+
+# ---- restrictions by type against the whole arrangement's ----
+
+def _whole_restriction(g, tag) -> Arrangement:
+    """The restriction by type as the whole arrangement restricted at
+    each flat of `flat_orbits`' labels with the tag, and its errors."""
+    arr = reflection_arrangement(g)
+    flats = [lab.representative
+             for lab in flat_orbits(g, len(_TYPE_TABLE[tag]))
+             if lab.tag == tag]
+    if not flats:
+        raise NoSuchType(tag)
+    first, *others = (arr.restricted(flat) for flat in flats)
+    if not all(lattice_isomorphic(first, other) for other in others):
+        raise AmbiguousType(tag)
+    return first
+
+
+def _outcome(call) -> str:
+    """The text of the arrangement that call returns, or the name of the
+    error it raises."""
+    try:
+        return call().to_text()
+    except ArrfreeError as exc:
+        return type(exc).__name__
+
+
+def _restriction_groups() -> dict:
+    """Every shipped group, fresh, with G(3,3,3), whose centre matches a
+    tag, and A1 x B2, whose A1 orbits restrict differently."""
+    groups = _fresh_groups()
+    groups["G(3,3,3)"] = g333()
+    groups["A1xB2"] = load_groups(A1_B2_TEXT)["A1xB2"]
+    return groups
+
+
+def _check_restrictions(groups, want, monkeypatch):
+    """`restriction_by_type` gives want[name, tag] for every group and
+    tag.  On a residue key table it restricts a subarrangement with one
+    mirror per restricted hyperplane next to the flat's own mirrors."""
+    restricted = Arrangement.restricted
+    calls = []
+
+    def spy(arr, flat):
+        out = restricted(arr, flat)
+        through = sum(map(flat.contains_flat_of, arr))
+        calls.append((len(arr), len(out), through))
+        return out
+
+    for name, g in groups.items():
+        for tag in _TYPE_TABLE:
+            del calls[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(Arrangement, "restricted", spy)
+                got = _outcome(lambda: catalog.restriction_by_type(g, tag))
+            assert got == want[name, tag], (name, tag)
+            if catalog._group_keys(g)[1]:
+                assert all(size == out + through
+                           for size, out, through in calls), (name, tag)
+
+
+def test_restriction_by_type_matches_the_whole_restriction(monkeypatch):
+    groups = _restriction_groups()
+    want = {(name, tag): _outcome(lambda: _whole_restriction(g, tag))
+            for name, g in groups.items() for tag in _TYPE_TABLE}
+    assert {"NoSuchType", "AmbiguousType", "ZeroDimensional"} < \
+        set(want.values())
+    _check_restrictions(groups, want, monkeypatch)
+    # G27 alone has an exact key table, which restricts the whole
+    # arrangement; so does every group once `_certified` fails
+    assert [name for name, g in groups.items()
+            if not catalog._group_keys(g)[1]] == ["G27"]
+    monkeypatch.setattr(arrangement, "_certified", lambda covs, s: False)
+    for g in groups.values():
+        g._keys = None
+    _check_restrictions(groups, want, monkeypatch)
+    assert not any(catalog._group_keys(g)[1] for g in groups.values())
+
+
+def test_one_key_table_per_group_across_orbits_and_restrictions(monkeypatch):
+    # the mirrors are keyed once per group, at s = dim, for the orbit
+    # levels of every codim and every restriction
+    calls = []
+    key_vectors = catalog._key_vectors
+
+    def counted(covs, order, s):
+        calls.append(s)
+        return key_vectors(covs, order, s)
+
+    monkeypatch.setattr(catalog, "_key_vectors", counted)
+    for name, g in _fresh_groups().items():
+        del calls[:]
+        for codim in (1, 2, 3):
+            flat_orbits(g, codim)
+        for tag in _TYPE_TABLE:
+            try:
+                restriction_by_type(g, tag)
+            except NoSuchType:
+                pass
+        assert calls == [g.dim], name
+
+
+def test_orbit_and_restriction_mutants_are_caught(monkeypatch):
+    # fields one bit narrower than a mask, which overlap; a shifts range
+    # one generator short; a subarrangement without the flat's own
+    # mirrors; classes keyed one rank below the flat
+    orbit_groups = ("G25", "G26", "G28", "G29")
+    restriction_groups = ("G25", "G28", "G29", "G33")
+    mutants = (
+        (catalog._orbit_levels, "range(0, len(perms) * m, m)",
+         "range(0, len(perms) * (m - 1), m - 1)", orbit_groups),
+        (catalog._orbit_levels, "range(0, len(perms) * m, m)",
+         "range(0, (len(perms) - 1) * m, m)", orbit_groups),
+        (catalog.restriction_by_type, "_bits(rep | lowest)",
+         "_bits(lowest)", restriction_groups),
+        (catalog.restriction_by_type, "rep, codim, full & ~rep",
+         "rep, codim - 1, full & ~rep", restriction_groups),
+    )
+    groups = _fresh_groups()
+    want = {(name, tag): _outcome(lambda: _whole_restriction(groups[name],
+                                                             tag))
+            for name in restriction_groups for tag in _TYPE_TABLE}
+    for fn, old, new, names in mutants:
+        src = inspect.getsource(fn)
+        assert src.count(old) == 1, old
+        namespace = dict(vars(catalog))
+        exec(src.replace(old, new), namespace)
+        picked = {name: groups[name] for name in names}
+        check = (_check_orbit_levels if fn is catalog._orbit_levels else
+                 lambda gs: _check_restrictions(gs, want, monkeypatch))
+        with monkeypatch.context() as mp:
+            mp.setattr(catalog, fn.__name__, namespace[fn.__name__])
+            with pytest.raises((AssertionError, CatalogDataError)):
+                check(picked)
+        for g in picked.values():
+            g._orbits = None

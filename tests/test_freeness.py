@@ -1394,12 +1394,14 @@ def test_plane_exponents_match_the_slow_path(monkeypatch):
         if self.dim == 3:
             for i in _bits(mask):
                 key = (id(self.levels), i)
+                through = [L for L in self.levels[2] if L >> i & 1]
                 if key not in contracted:
-                    contracted[key] = _contract(self.levels, 1 << i, 1)
+                    contracted[key], atoms = _contract(self.levels, 1 << i, 1)
+                    # the contraction's atoms are the lines through i
+                    assert atoms == through
                     assert freeness._plane_exps(0) == \
                         _sub_exponents(contracted[key], 0, 2)
                 left = mask & ~(1 << i)
-                through = [L for L in self.levels[2] if L >> i & 1]
                 rmask = sum(1 << j for j, line in enumerate(through)
                             if line & left)
                 assert freeness._plane_exps(counts[i]) == \
@@ -1460,7 +1462,8 @@ def test_subarrangement_and_restriction_lattices_match_exact():
                 continue
             for x in level:
                 restr = arr.restricted(_flat_of(arr, x))
-                got = _contract(levels, x, k)
+                got, atoms = _contract(levels, x, k)
+                assert len(atoms) == len(restr)
                 assert _charpoly(got, arr.dim - k) == \
                     restr.characteristic_polynomial()
                 # flats of each rank, by how many hyperplanes they hold
