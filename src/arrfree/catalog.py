@@ -569,10 +569,10 @@ def restriction_by_type(g, tag: str) -> Arrangement:
     `AmbiguousType` when orbits of that type have restrictions whose
     lattices differ, so the tag names no one restriction.
 
-    A mirror's restriction to X is its class of `_keys_over` X, so X is
-    restricted on the lowest mirror of each class and X's atoms, which
-    `restricted` checks X against.  On an exact key table (G27) a key
-    costs an exact reduction itself, so the whole arrangement is."""
+    A mirror's restriction to X is its class of `_keys_over` X, mod P or
+    exactly as the group's key table is, so X is restricted on the lowest
+    mirror of each class and X's atoms, which `restricted` checks X
+    against."""
     if isinstance(g, str):
         g = group(g)
     t = normalize_type(tag)
@@ -585,13 +585,11 @@ def restriction_by_type(g, tag: str) -> Arrangement:
     restrictions = []
     for lab, (rep, _) in zip(labels, orbits[-1]):
         if lab.tag == t:
-            sub = arr
-            if mod:
-                classes = _keys_over(vecs, True, rep, codim, full & ~rep)
-                lowest = sum(c & -c for c in classes.values())
-                sub = Arrangement(arr.dim, [arr.hyperplanes[j]
-                                            for j in _bits(rep | lowest)],
-                                  arr.order)
+            classes = _keys_over(vecs, mod, rep, codim, full & ~rep)
+            lowest = sum(c & -c for c in classes.values())
+            sub = Arrangement(arr.dim, [arr.hyperplanes[j]
+                                        for j in _bits(rep | lowest)],
+                              arr.order)
             restrictions.append(sub.restricted(lab.representative))
     if not restrictions:
         raise NoSuchType(f"{g.name} has no flat of type {t}")

@@ -903,8 +903,9 @@ def _restriction_groups() -> dict:
 
 def _check_restrictions(groups, want, monkeypatch):
     """`restriction_by_type` gives want[name, tag] for every group and
-    tag.  On a residue key table it restricts a subarrangement with one
-    mirror per restricted hyperplane next to the flat's own mirrors."""
+    tag, restricting a subarrangement with one mirror per restricted
+    hyperplane next to the flat's own mirrors, on residue and exact key
+    tables alike."""
     restricted = Arrangement.restricted
     calls = []
 
@@ -921,9 +922,8 @@ def _check_restrictions(groups, want, monkeypatch):
                 mp.setattr(Arrangement, "restricted", spy)
                 got = _outcome(lambda: catalog.restriction_by_type(g, tag))
             assert got == want[name, tag], (name, tag)
-            if catalog._group_keys(g)[1]:
-                assert all(size == out + through
-                           for size, out, through in calls), (name, tag)
+            assert all(size == out + through
+                       for size, out, through in calls), (name, tag)
 
 
 def test_restriction_by_type_matches_the_whole_restriction(monkeypatch):
@@ -933,8 +933,8 @@ def test_restriction_by_type_matches_the_whole_restriction(monkeypatch):
     assert {"NoSuchType", "AmbiguousType", "ZeroDimensional"} < \
         set(want.values())
     _check_restrictions(groups, want, monkeypatch)
-    # G27 alone has an exact key table, which restricts the whole
-    # arrangement; so does every group once `_certified` fails
+    # G27 alone has an exact key table among these; every group has one
+    # once `_certified` fails
     assert [name for name, g in groups.items()
             if not catalog._group_keys(g)[1]] == ["G27"]
     monkeypatch.setattr(arrangement, "_certified", lambda covs, s: False)
